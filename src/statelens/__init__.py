@@ -18,7 +18,7 @@ from .feature_extract import (
     extract_edges,
     extract_node_tuples,
 )
-from .gcn_core import ForwardTrace, GcnParams, TrainConfig, forward, gcn_layer, loss_and_grads
+from .gcn_core import ForwardTrace, GcnParams, TrainConfig, forward, loss_and_grads
 from .graph_pipeline import (
     ContractGraph,
     NormalizedGraph,

@@ -45,6 +45,31 @@ def _diagnostic(**fields) -> None:
     print(json.dumps({"level": "error", **fields}), file=sys.stderr)
 
 
+class _JsonLineFormatter(logging.Formatter):
+    """Renders a log record as one JSON object, like `_diagnostic` lines."""
+
+    def format(self, record: logging.LogRecord) -> str:
+        fields = {"level": record.levelname.lower(), "logger": record.name}
+        return json.dumps({**fields, "message": record.getMessage()})
+
+
+def _configure_logging() -> None:
+    """Send `statelens` log records to the current stderr as JSON lines, at
+    the level named by STATELENS_LOG (default WARNING)."""
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_JsonLineFormatter())
+    log.handlers[:] = [handler]
+    log.setLevel(os.environ.get("STATELENS_LOG", "WARNING").upper())
+    log.propagate = False
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
+
+
 def _load_rule_table(path: str | None):
     return default_rules() if path is None else tuple(load_rules(path))
 
@@ -306,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect = sub.add_parser("detect", help="classify contracts and emit reports")
     p_detect.add_argument("--model", required=True)
     p_detect.add_argument("--vocab", required=True)
-    p_detect.add_argument("--threshold", type=float, default=0.5)
+    p_detect.add_argument("--threshold", type=_probability, default=0.5)
     p_detect.add_argument("--top-k", type=int, default=5)
     p_detect.add_argument("--format", choices=("json", "text"), default="json")
     p_detect.add_argument("--out-dir", default=None, help="write per-file reports here")
@@ -318,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--vocab", required=True)
     p_eval.add_argument("--manifest", required=True)
-    p_eval.add_argument("--threshold", type=float, default=0.5)
+    p_eval.add_argument("--threshold", type=_probability, default=0.5)
     p_eval.add_argument("--rules", default=None)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -332,11 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("STATELENS_LOG", "WARNING").upper(),
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    _configure_logging()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -18,6 +18,7 @@ from .errors import (
 )
 from .gcn_core import (
     DEFECTIVE,
+    ForwardTrace,
     GcnParams,
     OptimizerState,
     TrainConfig,
@@ -128,8 +129,11 @@ def predict(
     """Per-contract verdict; probability at exactly the threshold counts as
     defective (the conservative call for an auditor)."""
     probability = forward(model.params, graph).probability
-    verdict = "defective" if probability >= threshold else "clean"
-    return verdict, probability
+    return _verdict(probability, threshold), probability
+
+
+def _verdict(probability: float, threshold: float) -> str:
+    return "defective" if probability >= threshold else "clean"
 
 
 def evaluate(
@@ -185,6 +189,9 @@ def train(
     state = OptimizerState()
     rng = random.Random(config.seed)
     history: list[EpochStats] = []
+    # S @ X is constant (the embedding table is never trained), so compute
+    # it once per graph here rather than on every step of every epoch.
+    sx = [graph.s_hat @ graph.features for graph in train_graphs]
 
     for epoch in range(1, config.epochs + 1):
         order = list(range(len(train_graphs)))
@@ -192,7 +199,7 @@ def train(
         total_loss = 0.0
         for i in order:
             graph = train_graphs[i]
-            loss, grads = loss_and_grads(params, graph, graph.label, config.l2_penalty)
+            loss, grads = loss_and_grads(params, graph, graph.label, config.l2_penalty, sx=sx[i])
             params, state = optimizer_step(state, params, grads, config)
             total_loss += loss
         snapshot = GcnModel(params=params, vocab_fingerprint=vocab_fingerprint)
@@ -209,9 +216,14 @@ def train(
 def localize(model: GcnModel, graph: NormalizedGraph, k: int = 5) -> list[tuple[int, float]]:
     """Top-k AST node ids by salience: the defective-class logit each node
     would produce if it were the whole pooled representation."""
+    return _top_nodes(model, graph, forward(model.params, graph), k)
+
+
+def _top_nodes(
+    model: GcnModel, graph: NormalizedGraph, trace: ForwardTrace, k: int
+) -> list[tuple[int, float]]:
     if k <= 0:
         return []
-    trace = forward(model.params, graph)
     node_logits = trace.h2 @ model.params.w_out + model.params.b_out
     salience = node_logits[:, DEFECTIVE]
     order = sorted(range(graph.n), key=lambda i: (-salience[i], i))[:k]
@@ -269,16 +281,16 @@ def build_report(
     threshold: float = 0.5,
     k: int = 5,
 ) -> DetectionReport:
-    verdict, probability = predict(model, graph, threshold)
+    trace = forward(model.params, graph)  # one pass serves verdict and ranking
     span_of = dict(zip(graph.node_ids, graph.spans))
     top = [
         ReportNode(node_id=node_id, span=span_of[node_id], salience=salience)
-        for node_id, salience in localize(model, graph, min(k, MAX_REPORT_NODES))
+        for node_id, salience in _top_nodes(model, graph, trace, min(k, MAX_REPORT_NODES))
     ]
     return DetectionReport(
         contract=contract,
-        verdict=verdict,
-        probability=probability,
+        verdict=_verdict(trace.probability, threshold),
+        probability=trace.probability,
         top_nodes=top,
         model_fingerprint=model.fingerprint(),
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),

@@ -10,6 +10,7 @@ exact computation; everything is float64 and deterministic.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,36 +26,60 @@ DEFECTIVE = 1  # logit/probability index of the defective class
 MODEL_MAGIC = b"SGM1"
 
 
-@dataclass
+def _param_shapes(dim: int, hidden: int) -> tuple[tuple[int, ...], ...]:
+    return (dim, hidden), (hidden, hidden), (hidden, 2), (2,)
+
+
+def param_count(dim: int, hidden: int) -> int:
+    return dim * hidden + hidden * hidden + hidden * 2 + 2
+
+
 class GcnParams:
-    w1: np.ndarray  # d x h
-    w2: np.ndarray  # h x h
-    w_out: np.ndarray  # h x 2
-    b_out: np.ndarray  # (2,)
+    """Every weight in one contiguous float64 vector, `flat`, laid out as the
+    model file stores it: w1 (d x h), w2 (h x h), w_out (h x 2), b_out (2,).
 
-    @property
-    def dim(self) -> int:
-        return int(self.w1.shape[0])
+    `w1`, `w2`, `w_out` and `b_out` are views into `flat`, so writing through
+    a view changes the vector and the optimizer can update all weights with
+    whole-vector expressions.
+    """
 
-    @property
-    def hidden(self) -> int:
-        return int(self.w1.shape[1])
+    def __init__(self, w1: np.ndarray, w2: np.ndarray, w_out: np.ndarray, b_out: np.ndarray):
+        parts = (w1, w2, w_out, b_out)
+        if np.ndim(w1) != 2:
+            raise ShapeMismatchError(f"w1 must be 2-D, got shape {np.shape(w1)}")
+        dim, hidden = np.shape(w1)
+        names = ("w1", "w2", "w_out", "b_out")
+        for name, arr, shape in zip(names, parts, _param_shapes(dim, hidden)):
+            if np.shape(arr) != shape:
+                raise ShapeMismatchError(f"{name} has shape {np.shape(arr)}, expected {shape}")
+        self._bind(np.concatenate([np.ravel(arr) for arr in parts], dtype=np.float64), dim, hidden)
 
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "w2": self.w2, "w_out": self.w_out, "b_out": self.b_out}
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, dim: int, hidden: int) -> "GcnParams":
+        """Wrap an existing vector of `param_count(dim, hidden)` floats; no copy."""
+        if flat.shape != (param_count(dim, hidden),):
+            raise ShapeMismatchError(
+                f"flat parameters have shape {flat.shape}, dim={dim} hidden={hidden} "
+                f"needs ({param_count(dim, hidden)},)"
+            )
+        params = cls.__new__(cls)
+        params._bind(flat, dim, hidden)
+        return params
 
-    def map(self, fn) -> "GcnParams":
-        return GcnParams(**{name: fn(arr) for name, arr in self.arrays().items()})
-
-    def combine(self, other: "GcnParams", fn) -> "GcnParams":
-        mine, theirs = self.arrays(), other.arrays()
-        return GcnParams(**{name: fn(mine[name], theirs[name]) for name in mine})
+    def _bind(self, flat: np.ndarray, dim: int, hidden: int) -> None:
+        self.flat = flat
+        self.dim = int(dim)
+        self.hidden = int(hidden)
+        views = []
+        offset = 0
+        for shape in _param_shapes(dim, hidden):
+            size = math.prod(shape)
+            views.append(flat[offset : offset + size].reshape(shape))
+            offset += size
+        self.w1, self.w2, self.w_out, self.b_out = views
 
     def norm_sq(self) -> float:
-        return float(sum(np.sum(arr * arr) for arr in self.arrays().values()))
-
-    def copy(self) -> "GcnParams":
-        return self.map(np.copy)
+        return float(self.flat @ self.flat)
 
 
 @dataclass
@@ -83,10 +108,13 @@ class TrainConfig:
 @dataclass
 class ForwardTrace:
     h0: np.ndarray
+    sh0: np.ndarray  # S @ H0, reused by the backward pass
     h1: np.ndarray
+    sh1: np.ndarray  # S @ H1, reused by the backward pass
     h2: np.ndarray
     pooled: np.ndarray
     logits: np.ndarray
+    probs: np.ndarray  # softmax(logits), indexed like CLASSES
     probability: float  # P(defective)
 
 
@@ -116,32 +144,42 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum()
 
 
-def gcn_layer(
-    s_hat: np.ndarray, h: np.ndarray, w: np.ndarray, apply_activation: bool = True
-) -> np.ndarray:
-    """One propagation step: relu(S @ H @ W), or the linear part alone."""
+def forward(
+    params: GcnParams, graph: NormalizedGraph, sx: np.ndarray | None = None
+) -> ForwardTrace:
+    """Two propagation layers relu((S @ H) @ W), then the readout.
+
+    `sx` is S @ X for this graph, computed by the caller. The embedding
+    table is never trained, so a training loop can compute it once per graph
+    rather than once per step; passing it changes no output bit.
+    """
+    s_hat, h0 = graph.s_hat, graph.features
     if s_hat.ndim != 2 or s_hat.shape[0] != s_hat.shape[1]:
         raise ShapeMismatchError(f"s_hat must be square, got {s_hat.shape}")
-    if h.shape[0] != s_hat.shape[0]:
-        raise ShapeMismatchError(f"s_hat {s_hat.shape} does not match h {h.shape}")
-    if w.shape[0] != h.shape[1]:
-        raise ShapeMismatchError(f"h {h.shape} does not match w {w.shape}")
-    out = s_hat @ h @ w
-    return relu(out) if apply_activation else out
-
-
-def forward(params: GcnParams, graph: NormalizedGraph) -> ForwardTrace:
-    if graph.features.shape[1] != params.dim:
+    if h0.ndim != 2 or h0.shape[0] != s_hat.shape[0]:
+        raise ShapeMismatchError(f"s_hat {s_hat.shape} does not match features {h0.shape}")
+    if h0.shape[1] != params.dim:
         raise ShapeMismatchError(
-            f"graph features have width {graph.features.shape[1]}, model expects {params.dim}"
+            f"graph features have width {h0.shape[1]}, model expects {params.dim}"
         )
-    h0 = graph.features
-    h1 = gcn_layer(graph.s_hat, h0, params.w1, apply_activation=True)
-    h2 = gcn_layer(graph.s_hat, h1, params.w2, apply_activation=True)
+    sh0 = s_hat @ h0 if sx is None else sx
+    h1 = relu(sh0 @ params.w1)
+    sh1 = s_hat @ h1
+    h2 = relu(sh1 @ params.w2)
     pooled = h2.mean(axis=0)
     logits = pooled @ params.w_out + params.b_out
-    probability = float(softmax(logits)[DEFECTIVE])
-    return ForwardTrace(h0=h0, h1=h1, h2=h2, pooled=pooled, logits=logits, probability=probability)
+    probs = softmax(logits)
+    return ForwardTrace(
+        h0=h0,
+        sh0=sh0,
+        h1=h1,
+        sh1=sh1,
+        h2=h2,
+        pooled=pooled,
+        logits=logits,
+        probs=probs,
+        probability=float(probs[DEFECTIVE]),
+    )
 
 
 def label_index(label: str) -> int:
@@ -152,44 +190,46 @@ def label_index(label: str) -> int:
 
 
 def loss_and_grads(
-    params: GcnParams, graph: NormalizedGraph, label: str, l2_penalty: float = 0.0
+    params: GcnParams,
+    graph: NormalizedGraph,
+    label: str,
+    l2_penalty: float = 0.0,
+    sx: np.ndarray | None = None,
 ) -> tuple[float, GcnParams]:
-    """Cross-entropy plus (l2/2)*||params||^2, with exact reverse-mode grads."""
-    trace = forward(params, graph)
+    """Cross-entropy plus (l2/2)*||params||^2, with exact reverse-mode grads.
+
+    `sx` is the optional precomputed S @ X that `forward` takes.
+    """
+    trace = forward(params, graph, sx)
     target = label_index(label)
-    probs = softmax(trace.logits)
+    probs = trace.probs
     loss = -float(np.log(probs[target])) + 0.5 * l2_penalty * params.norm_sq()
 
     n = trace.h0.shape[0]
-    s_hat = graph.s_hat
 
     d_logits = probs.copy()
     d_logits[target] -= 1.0
     d_w_out = np.outer(trace.pooled, d_logits)
-    d_b_out = d_logits
     d_pooled = params.w_out @ d_logits
 
-    d_h2 = np.broadcast_to(d_pooled / n, trace.h2.shape).copy()
-    d_z2 = d_h2 * (trace.h2 > 0)
-    sh1 = s_hat @ trace.h1
-    d_w2 = sh1.T @ d_z2
-    d_h1 = s_hat.T @ (d_z2 @ params.w2.T)
+    d_z2 = (d_pooled / n) * (trace.h2 > 0)  # mean-pool spreads d_pooled over the n rows
+    d_w2 = trace.sh1.T @ d_z2
+    d_h1 = graph.s_hat.T @ (d_z2 @ params.w2.T)
 
     d_z1 = d_h1 * (trace.h1 > 0)
-    sh0 = s_hat @ trace.h0
-    d_w1 = sh0.T @ d_z1
+    d_w1 = trace.sh0.T @ d_z1
 
-    grads = GcnParams(w1=d_w1, w2=d_w2, w_out=d_w_out, b_out=d_b_out)
+    grads = np.concatenate([d_w1.ravel(), d_w2.ravel(), d_w_out.ravel(), d_logits])
     if l2_penalty:
-        grads = grads.combine(params, lambda g, p: g + l2_penalty * p)
-    return loss, grads
+        grads = grads + l2_penalty * params.flat
+    return loss, GcnParams.from_flat(grads, params.dim, params.hidden)
 
 
 @dataclass
 class OptimizerState:
     step: int = 0
-    m: GcnParams | None = None  # first moment (adam)
-    v: GcnParams | None = None  # second moment (adam)
+    m: np.ndarray | None = None  # first moment (adam), laid out like GcnParams.flat
+    v: np.ndarray | None = None  # second moment (adam)
 
 
 def optimizer_step(
@@ -197,73 +237,66 @@ def optimizer_step(
 ) -> tuple[GcnParams, OptimizerState]:
     """One SGD or bias-corrected Adam update; returns fresh params and state."""
     lr = config.learning_rate
+    p, g = params.flat, grads.flat
     if config.optimizer == "sgd":
-        updated = params.combine(grads, lambda p, g: p - lr * g)
-        return updated, OptimizerState(step=state.step + 1)
+        updated = p - lr * g
+        next_state = OptimizerState(step=state.step + 1)
+        return GcnParams.from_flat(updated, params.dim, params.hidden), next_state
 
     t = state.step + 1
-    zeros = params.map(np.zeros_like)
-    m_prev = state.m if state.m is not None else zeros
-    v_prev = state.v if state.v is not None else zeros
-    m = m_prev.combine(grads, lambda m_, g: config.beta1 * m_ + (1 - config.beta1) * g)
-    v = v_prev.combine(grads, lambda v_, g: config.beta2 * v_ + (1 - config.beta2) * g * g)
+    m_prev = state.m if state.m is not None else np.zeros_like(p)
+    v_prev = state.v if state.v is not None else np.zeros_like(p)
+    m = config.beta1 * m_prev + (1 - config.beta1) * g
+    v = config.beta2 * v_prev + (1 - config.beta2) * g * g
     bias1 = 1.0 - config.beta1**t
     bias2 = 1.0 - config.beta2**t
-
-    names = params.arrays()
-    m_arrays, v_arrays = m.arrays(), v.arrays()
-    updated = GcnParams(
-        **{
-            name: arr - lr * (m_arrays[name] / bias1) / (np.sqrt(v_arrays[name] / bias2) + config.eps)
-            for name, arr in names.items()
-        }
-    )
-    return updated, OptimizerState(step=t, m=m, v=v)
+    updated = p - lr * (m / bias1) / (np.sqrt(v / bias2) + config.eps)
+    return GcnParams.from_flat(updated, params.dim, params.hidden), OptimizerState(step=t, m=m, v=v)
 
 
 # ---------------------------------------------------------------------------
-# Model container: magic "SGM1", little-endian u32 dim and hidden, a
-# length-prefixed vocabulary fingerprint, then row-major f64 blobs for
-# w1, w2, w_out, b_out. A JSON export is available for inspection.
+# Model container: magic "SGM1", little-endian u32 dim, hidden and
+# fingerprint length, the UTF-8 vocabulary fingerprint, then GcnParams.flat
+# as little-endian f64.
 # ---------------------------------------------------------------------------
+
+_HEADER = struct.Struct("<III")
+_HEADER_END = len(MODEL_MAGIC) + _HEADER.size
 
 
 def params_to_bytes(params: GcnParams, vocab_fingerprint: str = "") -> bytes:
     fp = vocab_fingerprint.encode("utf-8")
-    parts = [
-        MODEL_MAGIC,
-        struct.pack("<III", params.dim, params.hidden, len(fp)),
-        fp,
-        np.ascontiguousarray(params.w1, dtype="<f8").tobytes(),
-        np.ascontiguousarray(params.w2, dtype="<f8").tobytes(),
-        np.ascontiguousarray(params.w_out, dtype="<f8").tobytes(),
-        np.ascontiguousarray(params.b_out, dtype="<f8").tobytes(),
-    ]
-    return b"".join(parts)
+    return b"".join(
+        [
+            MODEL_MAGIC,
+            _HEADER.pack(params.dim, params.hidden, len(fp)),
+            fp,
+            params.flat.astype("<f8", copy=False).tobytes(),
+        ]
+    )
 
 
 def params_from_bytes(blob: bytes) -> tuple[GcnParams, str]:
-    if blob[:4] != MODEL_MAGIC:
+    if blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise SchemaViolationError(f"bad model magic {blob[:4]!r}")
-    dim, hidden, fp_len = struct.unpack_from("<III", blob, 4)
-    offset = 16
-    fingerprint = blob[offset : offset + fp_len].decode("utf-8")
-    offset += fp_len
-
-    def take(rows: int, cols: int) -> np.ndarray:
-        nonlocal offset
-        count = rows * cols
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).copy()
-        offset += count * 8
-        return arr.reshape(rows, cols)
-
-    params = GcnParams(
-        w1=take(dim, hidden),
-        w2=take(hidden, hidden),
-        w_out=take(hidden, 2),
-        b_out=np.frombuffer(blob, dtype="<f8", count=2, offset=offset).copy(),
-    )
-    return params, fingerprint
+    if len(blob) < _HEADER_END:
+        raise SchemaViolationError(f"model header truncated at {len(blob)} bytes")
+    dim, hidden, fp_len = _HEADER.unpack_from(blob, len(MODEL_MAGIC))
+    if dim == 0 or hidden == 0:
+        raise SchemaViolationError(f"model has dim={dim} hidden={hidden}; both must be >= 1")
+    count = param_count(dim, hidden)
+    expected = _HEADER_END + fp_len + 8 * count
+    if len(blob) != expected:
+        raise SchemaViolationError(
+            f"model is {len(blob)} bytes, but its header (dim={dim}, hidden={hidden}, "
+            f"{fp_len}-byte fingerprint) needs {expected}"
+        )
+    try:
+        fingerprint = blob[_HEADER_END : _HEADER_END + fp_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaViolationError(f"model vocabulary fingerprint is not UTF-8: {exc}") from None
+    flat = np.frombuffer(blob, dtype="<f8", count=count, offset=_HEADER_END + fp_len)
+    return GcnParams.from_flat(flat.astype(np.float64), dim, hidden), fingerprint
 
 
 def save_model(path: str | Path, params: GcnParams, vocab_fingerprint: str = "") -> None:
@@ -279,16 +312,3 @@ def load_model(path: str | Path) -> tuple[GcnParams, str]:
 
 def params_fingerprint(params: GcnParams) -> str:
     return hashlib.sha256(params_to_bytes(params)).hexdigest()
-
-
-def model_to_json_dict(params: GcnParams, vocab_fingerprint: str = "") -> dict:
-    return {
-        "dim": params.dim,
-        "hidden": params.hidden,
-        "classes": list(CLASSES),
-        "vocab_fingerprint": vocab_fingerprint,
-        "w1": params.w1.tolist(),
-        "w2": params.w2.tolist(),
-        "w_out": params.w_out.tolist(),
-        "b_out": params.b_out.tolist(),
-    }

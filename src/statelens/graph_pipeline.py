@@ -87,11 +87,19 @@ class Vocabulary:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Vocabulary":
         embedding = np.asarray(data["embedding"], dtype=np.float64)
-        return cls(
+        vocab = cls(
             word2idx={str(k): int(v) for k, v in data["word2idx"].items()},
             embedding=embedding,
             unk_index=int(data.get("unk_index", 0)),
         )
+        if embedding.ndim != 2 or embedding.shape[1] < 1:
+            raise SchemaViolationError(
+                f"embedding must be a non-empty matrix, got shape {embedding.shape}"
+            )
+        rows = embedding.shape[0]
+        if not all(0 <= i < rows for i in (vocab.unk_index, *vocab.word2idx.values())):
+            raise SchemaViolationError(f"vocabulary indices must lie in [0, {rows})")
+        return vocab
 
     def fingerprint(self) -> str:
         canonical = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
@@ -128,7 +136,14 @@ def save_vocabulary(path: str | Path, vocab: Vocabulary) -> None:
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    return Vocabulary.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Read a vocabulary file; one that is not valid JSON of the shape
+    `Vocabulary.to_json_dict` writes raises SchemaViolationError."""
+    try:
+        return Vocabulary.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise SchemaViolationError(
+            f"{path}: not a vocabulary file: {type(exc).__name__}: {exc}"
+        ) from None
 
 
 @dataclass

@@ -114,30 +114,24 @@ def finite_difference_grads(
     def loss_only() -> float:
         return loss_and_grads(params, graph, label, l2)[0]
 
-    out = {}
-    for name, arr in params.arrays().items():
-        grad = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            original = arr[idx]
-            arr[idx] = original + step
-            plus = loss_only()
-            arr[idx] = original - step
-            minus = loss_only()
-            arr[idx] = original
-            grad[idx] = (plus - minus) / (2 * step)
-        out[name] = grad
-    return GcnParams(**out)
+    flat = params.flat  # w1, w2, w_out and b_out are views into it
+    grad = np.zeros_like(flat)
+    for i in range(flat.size):
+        original = flat[i]
+        flat[i] = original + step
+        plus = loss_only()
+        flat[i] = original - step
+        minus = loss_only()
+        flat[i] = original
+        grad[i] = (plus - minus) / (2 * step)
+    return GcnParams.from_flat(grad, params.dim, params.hidden)
 
 
 def max_relative_grad_error(analytic: GcnParams, numeric: GcnParams) -> float:
-    worst = 0.0
-    for name, a in analytic.arrays().items():
-        b = numeric.arrays()[name]
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
-        worst = max(worst, float(np.max(np.abs(a - b) / denom)))
-    return worst
+    a, b = analytic.flat, numeric.flat
+    assert a.shape == b.shape
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
+    return float(np.max(np.abs(a - b) / denom))
 
 
 def brute_force_confusion(verdicts: list[str], labels: list[str]) -> tuple[int, int, int, int]:

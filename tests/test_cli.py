@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -237,21 +238,47 @@ def test_detect_out_dir_writes_reports(trained, corpus_dir, tmp_path):
     assert json.loads(written[0].read_text())["verdict"] == "defective"
 
 
-def test_detect_threshold_above_one_always_clean(trained, corpus_dir):
+def test_detect_threshold_above_one_exit_two(trained, corpus_dir, capsys):
     target = corpus_dir / "pair0003_defective.ast.json"
-    code = main(
-        [
-            "detect",
-            "--model",
-            str(trained["model"]),
-            "--vocab",
-            str(trained["vocab"]),
-            "--threshold",
-            "1.01",
-            str(target),
-        ]
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "detect",
+                "--model",
+                str(trained["model"]),
+                "--vocab",
+                str(trained["vocab"]),
+                "--threshold",
+                "1.01",
+                str(target),
+            ]
+        )
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--threshold" in captured.err
+
+
+@pytest.mark.parametrize("command", ["detect", "eval"])
+@pytest.mark.parametrize("value", ["7", "-0.1", "nan"])
+def test_threshold_outside_unit_interval_rejected(trained, corpus_dir, capsys, command, value):
+    target = (
+        ["--manifest", str(corpus_dir / "manifest.jsonl")]
+        if command == "eval"
+        else [str(corpus_dir / "pair0003_clean.ast.json")]
     )
-    assert code == 0
+    argv = [command, "--model", str(trained["model"]), "--vocab", str(trained["vocab"])]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--threshold", value, *target])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_threshold_bounds_are_inclusive(trained, corpus_dir):
+    target = str(corpus_dir / "pair0003_clean.ast.json")
+    argv = ["detect", "--model", str(trained["model"]), "--vocab", str(trained["vocab"])]
+    assert main([*argv, "--threshold", "0", target]) == 1  # every probability is >= 0
+    assert main([*argv, "--threshold", "1", target]) in (0, 1)
 
 
 def test_detect_missing_model_exit_two(trained, corpus_dir, capsys):
@@ -377,3 +404,73 @@ def test_exit_code_two_on_library_errors(tmp_path, capsys):
     )
     assert code == 2
     assert "missing.jsonl" in capsys.readouterr().err
+
+
+def _single_error_line(err: str) -> dict:
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, lines
+    diagnostic = json.loads(lines[0])
+    assert diagnostic["level"] == "error"
+    return diagnostic
+
+
+def _model_header(blob: bytes, dim: int, hidden: int) -> bytes:
+    return blob[:4] + struct.pack("<II", dim, hidden) + blob[12:]
+
+
+MODEL_CORRUPTIONS = {
+    "truncated": lambda blob: blob[: len(blob) // 2],
+    "header-only": lambda blob: blob[:10],
+    "trailing-byte": lambda blob: blob + b"\x00",
+    "dim-zero": lambda blob: _model_header(blob, 0, 32),
+    "hidden-zero": lambda blob: _model_header(blob, 64, 0),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(MODEL_CORRUPTIONS))
+def test_detect_corrupt_model_exit_two(trained, corpus_dir, tmp_path, capsys, corruption):
+    bad = tmp_path / "bad.sgm"
+    bad.write_bytes(MODEL_CORRUPTIONS[corruption](trained["model"].read_bytes()))
+    target = str(corpus_dir / "pair0000_clean.ast.json")
+    code = main(["detect", "--model", str(bad), "--vocab", str(trained["vocab"]), target])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _single_error_line(captured.err)["code"] == "SchemaViolationError"
+
+
+VOCAB_CORRUPTIONS = {
+    "malformed-json": lambda text: text[: len(text) // 2],
+    "not-utf8": lambda text: "\udcff",
+    "list-root": lambda text: "[]",
+    "missing-key": lambda text: json.dumps({"word2idx": json.loads(text)["word2idx"]}),
+    "wrong-type": lambda text: json.dumps({**json.loads(text), "word2idx": [1, 2]}),
+    "flat-embedding": lambda text: json.dumps({**json.loads(text), "embedding": [0.5, 0.5]}),
+    "index-out-of-range": lambda text: json.dumps({**json.loads(text), "word2idx": {"x": 10**6}}),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(VOCAB_CORRUPTIONS))
+def test_detect_corrupt_vocab_exit_two(trained, corpus_dir, tmp_path, capsys, corruption):
+    bad = tmp_path / "bad_vocab.json"
+    text = VOCAB_CORRUPTIONS[corruption](trained["vocab"].read_text(encoding="utf-8"))
+    bad.write_bytes(text.encode("utf-8", errors="surrogateescape"))
+    target = str(corpus_dir / "pair0000_clean.ast.json")
+    code = main(["detect", "--model", str(trained["model"]), "--vocab", str(bad), target])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _single_error_line(captured.err)["code"] == "SchemaViolationError"
+
+
+def test_log_records_are_json_lines(corpus_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("STATELENS_LOG", "INFO")
+    model, vocab = tmp_path / "m.sgm", tmp_path / "v.json"
+    manifest = str(corpus_dir / "manifest.jsonl")
+    argv = ["train", "--manifest", manifest, "--model", str(model), "--vocab", str(vocab)]
+    assert main([*argv, "--epochs", "1"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().err.strip().splitlines()]
+    written = [r for r in records if r["message"].startswith("model written to")]
+    assert len(written) == 1
+    assert written[0]["level"] == "info" and written[0]["logger"] == "statelens"
+    assert str(model) in written[0]["message"] and str(vocab) in written[0]["message"]

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -10,16 +9,15 @@ from statelens.gcn_core import (
     OptimizerState,
     TrainConfig,
     forward,
-    gcn_layer,
     init_params,
     load_model,
     loss_and_grads,
-    model_to_json_dict,
     optimizer_step,
     params_fingerprint,
     params_to_bytes,
     save_model,
 )
+from statelens.graph_pipeline import NormalizedGraph
 
 from helpers import (
     finite_difference_grads,
@@ -38,44 +36,82 @@ def _zero_params(dim: int, hidden: int) -> GcnParams:
     )
 
 
+NAMES = ("w1", "w2", "w_out", "b_out")
+
+
+def _graph(s_hat, features) -> NormalizedGraph:
+    n = np.shape(features)[0]
+    return NormalizedGraph(
+        features=np.asarray(features, dtype=float),
+        s_hat=np.asarray(s_hat, dtype=float),
+        a_hat=np.asarray(s_hat, dtype=float),
+        node_ids=list(range(n)),
+        spans=[(0, 0, 0)] * n,
+    )
+
+
+def _layer1_params(w1) -> GcnParams:
+    """Params whose first layer is `w1`; the rest are zeros."""
+    hidden = np.shape(w1)[1]
+    params = _zero_params(np.shape(w1)[0], hidden)
+    params.w1[:] = w1
+    return params
+
+
 # ---------------------------------------------------------------------------
-# gcn_layer
+# propagation layer: relu((S @ H) @ W), checked through forward's trace
 # ---------------------------------------------------------------------------
 
 
 def test_layer_zero_weights_zero_output():
     rng = np.random.default_rng(0)
     g = random_normalized_graph(rng, n=4, dim=3)
-    out = gcn_layer(g.s_hat, g.features, np.zeros((3, 5)))
-    assert out.shape == (4, 5)
-    assert np.all(out == 0)
+    trace = forward(_layer1_params(np.zeros((3, 5))), g)
+    assert trace.h1.shape == (4, 5)
+    assert np.all(trace.h1 == 0)
 
 
 def test_layer_scalar_case():
-    out = gcn_layer(np.array([[1.0]]), np.array([[2.0]]), np.array([[3.0]]), apply_activation=True)
-    assert out.tolist() == [[6.0]]
+    trace = forward(_layer1_params([[3.0]]), _graph([[1.0]], [[2.0]]))
+    assert trace.h1.tolist() == [[6.0]]
 
 
 def test_layer_uniform_averaging():
     s_hat = np.array([[0.5, 0.5], [0.5, 0.5]])
     h = np.array([[1.0], [3.0]])
-    w = np.array([[1.0]])
-    assert gcn_layer(s_hat, h, w).tolist() == [[2.0], [2.0]]
+    assert forward(_layer1_params([[1.0]]), _graph(s_hat, h)).h1.tolist() == [[2.0], [2.0]]
 
 
 def test_layer_relu_toggle():
-    s_hat = np.array([[1.0]])
-    h = np.array([[-2.0]])
-    w = np.array([[1.0]])
-    assert gcn_layer(s_hat, h, w, apply_activation=True).tolist() == [[0.0]]
-    assert gcn_layer(s_hat, h, w, apply_activation=False).tolist() == [[-2.0]]
+    params = _layer1_params([[1.0]])
+    trace = forward(params, _graph([[1.0]], [[-2.0]]))
+    assert trace.h1.tolist() == [[0.0]]
+    assert (trace.sh0 @ params.w1).tolist() == [[-2.0]]  # the linear part before relu
 
 
 def test_layer_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        gcn_layer(np.eye(3), np.ones((2, 2)), np.ones((2, 2)))
+        forward(_zero_params(2, 2), _graph(np.eye(3), np.ones((2, 2))))
     with pytest.raises(ShapeMismatchError):
-        gcn_layer(np.eye(2), np.ones((2, 3)), np.ones((2, 2)))
+        forward(_zero_params(2, 2), _graph(np.eye(2), np.ones((2, 3))))
+    with pytest.raises(ShapeMismatchError):
+        forward(_zero_params(2, 2), _graph(np.ones((2, 3)), np.ones((2, 2))))
+
+
+def test_params_shape_mismatch():
+    with pytest.raises(ShapeMismatchError):
+        GcnParams(w1=np.ones((2, 3)), w2=np.ones((2, 2)), w_out=np.ones((3, 2)), b_out=np.ones(2))
+    with pytest.raises(ShapeMismatchError):
+        GcnParams.from_flat(np.ones(5), dim=2, hidden=3)
+
+
+def test_params_views_share_one_vector():
+    params = random_params(np.random.default_rng(20), dim=3, hidden=2)
+    assert params.flat.shape == (3 * 2 + 2 * 2 + 2 * 2 + 2,)
+    for view in (params.w1, params.w2, params.w_out, params.b_out):
+        assert np.shares_memory(view, params.flat)
+    params.w2[1, 0] = 7.5
+    assert params.flat[3 * 2 + 2] == 7.5
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +227,12 @@ def test_bad_label_rejected():
 
 def test_zero_grads_leave_params_unchanged():
     params = random_params(np.random.default_rng(10), dim=3, hidden=2)
-    zero = params.map(np.zeros_like)
+    zero = _zero_params(3, 2)
     for optimizer in ("sgd", "adam"):
         config = TrainConfig(optimizer=optimizer, learning_rate=0.1, epochs=1)
         updated, _ = optimizer_step(OptimizerState(), params, zero, config)
-        for name, arr in updated.arrays().items():
-            assert np.array_equal(arr, params.arrays()[name])
+        for name in NAMES:
+            assert np.array_equal(getattr(updated, name), getattr(params, name))
 
 
 def test_sgd_scalar_step():
@@ -218,9 +254,9 @@ def test_adam_first_step_magnitude_and_sign():
     grads = random_params(rng, dim=2, hidden=2)
     config = TrainConfig(optimizer="adam", learning_rate=1e-3, epochs=1)
     updated, state = optimizer_step(OptimizerState(), params, grads, config)
-    for name, arr in updated.arrays().items():
-        g = grads.arrays()[name]
-        delta = arr - params.arrays()[name]
+    for name in NAMES:
+        g = getattr(grads, name)
+        delta = getattr(updated, name) - getattr(params, name)
         # first bias-corrected step: -lr * g / (|g| + eps) ~= -lr * sign(g)
         expected = -config.learning_rate * g / (np.abs(g) + config.eps)
         assert np.allclose(delta, expected, rtol=1e-12)
@@ -237,7 +273,7 @@ def test_adam_state_threading():
     for expected_step in (1, 2, 3):
         params, state = optimizer_step(state, params, grads, config)
         assert state.step == expected_step
-    assert all(np.all(np.isfinite(a)) for a in params.arrays().values())
+    assert np.all(np.isfinite(params.flat))
 
 
 def test_monotone_loss_on_separable_pair():
@@ -263,6 +299,59 @@ def test_monotone_loss_on_separable_pair():
         previous = current
 
 
+def _reference_steps(params: GcnParams, graphs, config: TrainConfig) -> dict[str, np.ndarray]:
+    """Per-array SGD/Adam with L2, in the evaluation order the flat update must keep."""
+    p = {name: getattr(params, name).copy() for name in NAMES}
+    m = {name: np.zeros_like(arr) for name, arr in p.items()}
+    v = {name: np.zeros_like(arr) for name, arr in p.items()}
+    l2, lr = config.l2_penalty, config.learning_rate
+    for t, graph in enumerate(graphs, start=1):
+        _, raw = loss_and_grads(GcnParams(**p), graph, graph.label, 0.0)
+        g = {name: getattr(raw, name) + l2 * p[name] for name in NAMES}
+        for name in NAMES:
+            if config.optimizer == "sgd":
+                p[name] = p[name] - lr * g[name]
+                continue
+            m[name] = config.beta1 * m[name] + (1 - config.beta1) * g[name]
+            v[name] = config.beta2 * v[name] + (1 - config.beta2) * g[name] * g[name]
+            bias1 = 1.0 - config.beta1**t
+            bias2 = 1.0 - config.beta2**t
+            p[name] = p[name] - lr * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + config.eps)
+    return p
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_flat_steps_equal_per_array_reference_bitwise(optimizer):
+    rng = np.random.default_rng(21)
+    graphs = [
+        random_normalized_graph(rng, n=n, dim=5, label=label)
+        for n, label in ((4, "clean"), (6, "defective"), (3, "clean"))
+    ]
+    params = random_params(rng, dim=5, hidden=3)
+    config = TrainConfig(optimizer=optimizer, learning_rate=0.05, l2_penalty=0.3, epochs=1)
+    expected = _reference_steps(params, graphs, config)
+    state = OptimizerState()
+    for graph in graphs:
+        _, grads = loss_and_grads(params, graph, graph.label, config.l2_penalty)
+        params, state = optimizer_step(state, params, grads, config)
+    assert state.step == 3
+    for name in NAMES:
+        assert np.array_equal(getattr(params, name), expected[name]), name
+
+
+def test_precomputed_sx_gives_bitwise_equal_gradients():
+    rng = np.random.default_rng(22)
+    for case in range(10):
+        n = int(rng.integers(1, 12))
+        g = random_normalized_graph(rng, n=n, dim=6)
+        params = random_params(rng, dim=6, hidden=4)
+        label = ("clean", "defective")[case % 2]
+        loss, grads = loss_and_grads(params, g, label, 5e-4)
+        loss_sx, grads_sx = loss_and_grads(params, g, label, 5e-4, sx=g.s_hat @ g.features)
+        assert loss_sx == loss
+        assert np.array_equal(grads_sx.flat, grads.flat)
+
+
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
@@ -274,8 +363,8 @@ def test_model_roundtrip(tmp_path):
     save_model(path, params, vocab_fingerprint="abc123")
     loaded, fingerprint = load_model(path)
     assert fingerprint == "abc123"
-    for name, arr in loaded.arrays().items():
-        assert np.array_equal(arr, params.arrays()[name])
+    for name in NAMES:
+        assert np.array_equal(getattr(loaded, name), getattr(params, name))
     assert params_fingerprint(loaded) == params_fingerprint(params)
 
 
@@ -300,20 +389,10 @@ def test_model_missing_file(tmp_path):
         load_model(tmp_path / "nope.sgm")
 
 
-def test_model_json_export():
-    params = random_params(np.random.default_rng(16), dim=2, hidden=2)
-    exported = model_to_json_dict(params, vocab_fingerprint="fp")
-    text = json.dumps(exported)
-    parsed = json.loads(text)
-    assert parsed["dim"] == 2 and parsed["hidden"] == 2
-    assert parsed["classes"] == ["clean", "defective"]
-    assert np.allclose(np.asarray(parsed["w1"]), params.w1)
-
-
 def test_fingerprint_changes_with_weights():
     rng = np.random.default_rng(17)
     a = random_params(rng, dim=2, hidden=2)
-    b = a.copy()
+    b = GcnParams.from_flat(a.flat.copy(), a.dim, a.hidden)
     b.w1[0, 0] += 1e-9
     assert params_fingerprint(a) != params_fingerprint(b)
     assert params_to_bytes(a) != params_to_bytes(b)
