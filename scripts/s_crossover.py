@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Where a sparse S starts to pay: dense vs SparseOperator timings by graph size.
+
+For each size n it builds a random tree plus 0.3·n random extra links (the
+merged benchmark units have about 1.3 links per node), embeds it with
+d = 64, and times two things with S forced dense and forced sparse:
+
+- one S @ X product;
+- `normalize` followed by one `forward` (hidden 32), the work `detect`
+  does per contract.
+
+Run it with one BLAS thread, as the benchmark does:
+
+    OPENBLAS_NUM_THREADS=1 python3 scripts/s_crossover.py [n ...]
+
+Each figure is the median of 7 timing runs, in microseconds.
+`graph_pipeline.DENSE_MAX_NODES` is set from this table.
+"""
+
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from statelens import graph_pipeline as gp
+from statelens.gcn_core import forward, init_params
+
+DEFAULT_SIZES = (1024, 512, 384, 320, 256, 224, 192, 160, 128, 64)
+DIM, HIDDEN = 64, 32
+
+
+def random_graph(rng: np.random.Generator, n: int) -> gp.ContractGraph:
+    links = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+    extra = rng.integers(0, n, size=(int(0.3 * n), 2)).tolist()
+    links += [(i, j) for i, j in extra if i != j]
+    return gp.ContractGraph(
+        node_ids=list(range(n)),
+        tuples=[],
+        spans=[],
+        pairs=gp.link_pairs(n, links),
+        edges=[],
+        features=rng.uniform(-0.125, 0.125, size=(n, DIM)),
+    )
+
+
+def median_us(fn, reps: int) -> float:
+    runs = []
+    for _ in range(7):
+        start = time.perf_counter()
+        for _ in range(reps):
+            fn()
+        runs.append((time.perf_counter() - start) / reps)
+    return sorted(runs)[3] * 1e6
+
+
+def main() -> int:
+    sizes = [int(v) for v in sys.argv[1:]] or DEFAULT_SIZES
+    rng = np.random.default_rng(5)
+    params = init_params(DIM, HIDDEN, 0)
+    print(f"{'n':>5} {'links':>6} | {'S@X dense':>10} {'S@X csr':>10} | {'norm+fwd dense':>14} {'norm+fwd csr':>13}")
+    for n in sizes:
+        graph = random_graph(rng, n)
+        reps = max(3, 20000 // n)
+        row = []
+        for limit in (n, n - 1):  # n <= limit keeps S dense
+            gp.DENSE_MAX_NODES = limit
+            s_hat = gp.normalize(graph).s_hat
+            row.append(median_us(lambda: s_hat @ graph.features, reps))
+            row.append(median_us(lambda: forward(params, gp.normalize(graph)), reps))
+        dense_mm, dense_all, csr_mm, csr_all = row
+        print(f"{n:5d} {len(graph.pairs):6d} | {dense_mm:10.1f} {csr_mm:10.1f} | {dense_all:14.1f} {csr_all:13.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,7 +2,8 @@
 
 Pipeline: compiler AST JSON -> dependency-categorized node/edge tuples ->
 pruned contract graph -> fixed random embeddings -> symmetrically
-normalized adjacency -> dense two-layer GCN with a binary readout.
+normalized adjacency (dense on small graphs, sparse on large ones) ->
+two-layer GCN with a binary readout.
 """
 
 from .ast_ingest import AstNode, AstTree, parse_ast_json, span_to_source, validate_tree

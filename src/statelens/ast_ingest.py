@@ -116,7 +116,8 @@ def parse_ast_json(document: str, source_unit: str = "<memory>") -> AstTree:
 
     Every JSON object bearing a ``nodeType`` becomes exactly one node;
     nesting order decides the child order. Raises EmptyDocumentError,
-    MalformedJsonError (with byte offset), or SchemaViolationError.
+    MalformedJsonError (with byte offset), or SchemaViolationError (also
+    for a document nested deeper than the interpreter's recursion limit).
     """
     if not document or not document.strip():
         raise EmptyDocumentError(f"{source_unit}: empty document")
@@ -126,6 +127,8 @@ def parse_ast_json(document: str, source_unit: str = "<memory>") -> AstTree:
         raise MalformedJsonError(
             f"{source_unit}: invalid JSON at byte {exc.pos}: {exc.msg}", offset=exc.pos
         ) from None
+    except RecursionError:
+        raise SchemaViolationError(f"{source_unit}: JSON nested too deeply to parse") from None
     if not isinstance(data, dict):
         raise SchemaViolationError(f"{source_unit}: document root must be a JSON object")
     if "nodeType" not in data:
@@ -167,7 +170,10 @@ def parse_ast_json(document: str, source_unit: str = "<memory>") -> AstTree:
         )
         return node_id
 
-    root_id = build(data, source_unit)
+    try:
+        root_id = build(data, source_unit)
+    except RecursionError:
+        raise SchemaViolationError(f"{source_unit}: AST nested too deeply to parse") from None
     compiler_version = data.get("compilerVersion", "")
     return AstTree(
         root_id=root_id,

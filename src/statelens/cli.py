@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (and no defects for `detect`), 1 at least one
 defective contract (`detect` only), 2 operational error (bad paths,
-unreadable input, mismatched model/vocabulary), 3 degenerate training
+unreadable input, mismatched model/vocabulary, or any unexpected exception,
+reported as one `internal-error` diagnostic), 3 degenerate training
 corpus. Diagnostics go to stderr as JSON lines; results go to stdout.
 """
 
@@ -13,6 +14,7 @@ import json
 import logging
 import os
 import sys
+import traceback
 from pathlib import Path
 from typing import Sequence
 
@@ -366,6 +368,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except OSError as exc:
         _diagnostic(code="io-error", message=str(exc))
+        return 2
+    except Exception as exc:  # never a traceback, and never exit 1 (defects found)
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        _diagnostic(
+            code="internal-error",
+            message=f"{type(exc).__name__}: {exc}",
+            where=f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}",
+        )
         return 2
 
 

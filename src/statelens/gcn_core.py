@@ -1,8 +1,9 @@
-"""Dense GCN kernel: two propagation layers, mean-pool readout, binary head.
+"""GCN kernel: two propagation layers, mean-pool readout, binary head.
 
 Layer rule: H' = relu(S H W) with S the symmetrically normalized adjacency
-(self-loops included). Readout is the column mean of the second layer,
-followed by a linear classifier and a max-subtracted softmax over
+(self-loops included): a dense array on small graphs and a sparse operator
+on large ones, used only as S @ H. Readout is the column mean of the second
+layer, followed by a linear classifier and a max-subtracted softmax over
 (clean, defective). Gradients are hand-derived reverse mode through this
 exact computation; everything is float64 and deterministic.
 """
@@ -214,7 +215,7 @@ def loss_and_grads(
 
     d_z2 = (d_pooled / n) * (trace.h2 > 0)  # mean-pool spreads d_pooled over the n rows
     d_w2 = trace.sh1.T @ d_z2
-    d_h1 = graph.s_hat.T @ (d_z2 @ params.w2.T)
+    d_h1 = graph.s_hat @ (d_z2 @ params.w2.T)  # S is symmetric, so S.T @ == S @
 
     d_z1 = d_h1 * (trace.h1 > 0)
     d_w1 = trace.sh0.T @ d_z1

@@ -1,21 +1,21 @@
 """End-to-end graph construction: tokens, vocabulary, pruning, normalization.
 
-The chain is: extract node tuples and edges, build an adjacency over the
-categorized nodes in DFS preorder, prune against the label set, look up
-fixed random embeddings through the word2idx vocabulary, then produce the
-symmetrically normalized operator S = D^{-1/2} (A + I) D^{-1/2} the GCN
-consumes. Everything here is deterministic given (tree, rules, seed).
+The chain is: extract node tuples and edges, link the categorized nodes in
+DFS preorder as an undirected edge list, prune against the label set, look
+up fixed random embeddings through the word2idx vocabulary, then produce
+the symmetrically normalized operator S = D^{-1/2} (A + I) D^{-1/2} the GCN
+consumes, dense on small graphs and sparse on large ones. Everything here
+is deterministic given (tree, rules, seed).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import struct
 import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,8 +32,6 @@ from .feature_extract import (
 
 NAME_BUCKETS = 256
 DEFAULT_EMBED_DIM = 64
-
-GRAPH_MAGIC = b"SGG1"
 
 
 def _name_bucket(name: str) -> int:
@@ -153,7 +151,7 @@ class ContractGraph:
     node_ids: list[int]  # graph index -> AST node id
     tuples: list[NodeTuple]
     spans: list[tuple[int, int, int]]
-    adjacency: np.ndarray  # n x n symmetric 0/1
+    pairs: np.ndarray  # e x 2 int64 undirected links (i < j), unique, sorted
     edges: list[EdgeTuple]  # original directed edges, AST ids
     features: np.ndarray | None = None
     label: str | None = None
@@ -162,30 +160,65 @@ class ContractGraph:
     def n(self) -> int:
         return len(self.node_ids)
 
-    @property
-    def neighbor_map(self) -> dict[int, list[int]]:
-        return {
-            i: [int(j) for j in np.flatnonzero(self.adjacency[i])]
-            for i in range(self.n)
-        }
+
+def link_pairs(n: int, links: Iterable[tuple[int, int]]) -> np.ndarray:
+    """`ContractGraph.pairs` for undirected links (i, j), i != j, over n
+    nodes, given in any order and orientation, duplicates allowed."""
+    keys = sorted({i * n + j if i < j else j * n + i for i, j in links})
+    pairs = np.empty((len(keys), 2), dtype=np.int64)
+    pairs[:, 0], pairs[:, 1] = np.divmod(np.array(keys, dtype=np.int64), n)
+    return pairs
+
+
+class SparseOperator:
+    """A sparse n x n matrix, its nonzero entries stored row by row, that
+    numpy code can use where it would use the dense array: `shape`, `ndim`,
+    `nbytes`, and `S @ H` for a dense n x d matrix H.
+
+    The product is a segment sum: stored entry k adds
+    `data[k] * H[indices[k]]` to row `rows[k]`, all rows at once through one
+    flattened `np.bincount`.
+    """
+
+    ndim = 2
+
+    def __init__(self, n: int, rows: np.ndarray, indices: np.ndarray, data: np.ndarray):
+        self.shape = (n, n)
+        self.rows = rows  # row of each stored entry, nondecreasing
+        self.indices = indices  # column of each stored entry
+        self.data = data
 
     @property
-    def value_map(self) -> dict[int, np.ndarray]:
-        if self.features is None:
-            return {}
-        return {i: self.features[i] for i in range(self.n)}
+    def nbytes(self) -> int:
+        return self.rows.nbytes + self.indices.nbytes + self.data.nbytes
 
-    def index_of(self, ast_id: int) -> int:
-        return self.node_ids.index(ast_id)
+    def __matmul__(self, h: np.ndarray) -> np.ndarray:
+        n = self.shape[0]
+        if h.ndim != 2 or h.shape[0] != n:
+            raise ShapeMismatchError(f"operator {self.shape} cannot multiply {h.shape}")
+        d = h.shape[1]
+        weighted = h[self.indices]
+        weighted *= self.data[:, None]  # in place: one nnz x d temporary fewer
+        slots = self.rows[:, None] * d + np.arange(d)
+        return np.bincount(slots.ravel(), weights=weighted.ravel(), minlength=n * d).reshape(n, d)
+
+
+# Graphs with more nodes than this get S as a SparseOperator, smaller ones as
+# a dense array. Measured with scripts/s_crossover.py (one BLAS thread,
+# d = 64): at n = 320 one S @ X costs the same both ways and normalize plus
+# forward is 1.5x faster sparse; at n = 192 dense wins both, by 1.7x and
+# 1.1x. Training and audit contracts have 11-47 nodes, merged source units
+# thousands.
+DENSE_MAX_NODES = 320
 
 
 @dataclass
 class NormalizedGraph:
-    """GCN-ready view: features X, S = D^{-1/2} (A+I) D^{-1/2}, and A+I."""
+    """GCN-ready view: features X and S = D^{-1/2} (A+I) D^{-1/2}, either a
+    dense array or, above DENSE_MAX_NODES, a SparseOperator."""
 
     features: np.ndarray
-    s_hat: np.ndarray
-    a_hat: np.ndarray
+    s_hat: np.ndarray | SparseOperator
     node_ids: list[int]
     spans: list[tuple[int, int, int]]
     label: str | None = None
@@ -194,20 +227,27 @@ class NormalizedGraph:
     def n(self) -> int:
         return int(self.s_hat.shape[0])
 
+    @property
+    def a_hat(self) -> np.ndarray | SparseOperator:
+        """A + I, read off S: exactly 1.0 wherever S is nonzero."""
+        s = self.s_hat
+        if isinstance(s, SparseOperator):
+            return SparseOperator(s.shape[0], s.rows, s.indices, np.ones_like(s.data))
+        return (s > 0).astype(np.float64)
+
 
 def build_graph(
     tree: AstTree, tuples: Sequence[NodeTuple], edges: Sequence[EdgeTuple]
 ) -> ContractGraph:
-    """Assemble the adjacency over categorized nodes in DFS preorder.
+    """Assemble the links over categorized nodes in DFS preorder.
 
-    Directed edges are stored verbatim; the adjacency itself is symmetrized
+    Directed edges are stored verbatim; the links themselves are undirected
     because the downstream normalization presumes an undirected graph.
     """
     if not tuples:
         raise EmptyGraphError(f"{tree.source_unit}: no categorized nodes")
     index = {t.n_id: i for i, t in enumerate(tuples)}
-    n = len(tuples)
-    adjacency = np.zeros((n, n), dtype=np.float64)
+    links: list[tuple[int, int]] = []
     for edge in edges:
         if edge.e_s not in index or edge.e_e not in index:
             raise EmptyGraphError(
@@ -215,13 +255,12 @@ def build_graph(
             )
         i, j = index[edge.e_s], index[edge.e_e]
         if i != j:
-            adjacency[i, j] = 1.0
-            adjacency[j, i] = 1.0
+            links.append((i, j))
     return ContractGraph(
         node_ids=[t.n_id for t in tuples],
         tuples=list(tuples),
         spans=[tree.nodes[t.n_id].src_span for t in tuples],
-        adjacency=adjacency,
+        pairs=link_pairs(len(tuples), links),
         edges=list(edges),
     )
 
@@ -229,34 +268,35 @@ def build_graph(
 def optimize_graph(graph: ContractGraph, label_set: LabelSet) -> ContractGraph:
     """Prune nodes outside the label set, then drop components disconnected
     from the first surviving node. Idempotent; never adds nodes or edges."""
-    survivors = [
-        i
-        for i, t in enumerate(graph.tuples)
-        if (t.n_type, t.category) in label_set
-    ]
-    if not survivors:
+    surviving = [(t.n_type, t.category) in label_set for t in graph.tuples]
+    if not any(surviving):
         raise EmptyGraphError("label set pruned every node")
 
-    surviving = set(survivors)
-    component: set[int] = set()
-    stack = [survivors[0]]
+    neighbors: list[list[int]] = [[] for _ in range(graph.n)]
+    for i, j in graph.pairs.tolist():
+        if surviving[i] and surviving[j]:
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+    in_component = [False] * graph.n
+    start = surviving.index(True)
+    in_component[start] = True
+    stack = [start]
     while stack:
-        i = stack.pop()
-        if i in component:
-            continue
-        component.add(i)
-        for j in np.flatnonzero(graph.adjacency[i]):
-            if int(j) in surviving and int(j) not in component:
-                stack.append(int(j))
+        for j in neighbors[stack.pop()]:
+            if not in_component[j]:
+                in_component[j] = True
+                stack.append(j)
 
-    keep = [i for i in survivors if i in component]
+    keep = [i for i in range(graph.n) if in_component[i]]
     keep_ids = {graph.node_ids[i] for i in keep}
-    sub = graph.adjacency[np.ix_(keep, keep)].copy()
+    remap = np.full(graph.n, -1, dtype=np.int64)
+    remap[keep] = np.arange(len(keep))
+    pairs = remap[graph.pairs]
     return ContractGraph(
         node_ids=[graph.node_ids[i] for i in keep],
         tuples=[graph.tuples[i] for i in keep],
         spans=[graph.spans[i] for i in keep],
-        adjacency=sub,
+        pairs=pairs[(pairs >= 0).all(axis=1)],
         edges=[e for e in graph.edges if e.e_s in keep_ids and e.e_e in keep_ids],
         features=None if graph.features is None else graph.features[keep].copy(),
         label=graph.label,
@@ -271,18 +311,30 @@ def embed_nodes(graph: ContractGraph, vocab: Vocabulary) -> ContractGraph:
 
 def normalize(graph: ContractGraph) -> NormalizedGraph:
     """Add self-loops and apply the symmetric degree normalization."""
-    if graph.n < 1:
+    n = graph.n
+    if n < 1:
         raise EmptyGraphError("cannot normalize an empty graph")
     if graph.features is None:
         raise ShapeMismatchError("graph has no features; embed_nodes must run first")
-    a_hat = graph.adjacency + np.eye(graph.n)
-    degrees = a_hat.sum(axis=1)
+    i, j = graph.pairs.T
+    degrees = 1.0 + np.bincount(graph.pairs.ravel(), minlength=n)
     inv_sqrt = 1.0 / np.sqrt(degrees)  # self-loops keep every degree >= 1
-    s_hat = a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
+    if n <= DENSE_MAX_NODES:
+        a_hat = np.eye(n)
+        a_hat[i, j] = 1.0
+        a_hat[j, i] = 1.0
+        s_hat = a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
+    else:
+        diagonal = np.arange(n)
+        rows = np.concatenate([i, j, diagonal])
+        cols = np.concatenate([j, i, diagonal])
+        order = np.argsort(rows * n + cols)
+        rows, cols = rows[order], cols[order]
+        # the same product as the dense (1.0 * inv_sqrt[r]) * inv_sqrt[c]
+        s_hat = SparseOperator(n, rows, cols, inv_sqrt[rows] * inv_sqrt[cols])
     return NormalizedGraph(
         features=graph.features.copy(),
         s_hat=s_hat,
-        a_hat=a_hat,
         node_ids=list(graph.node_ids),
         spans=list(graph.spans),
         label=graph.label,
@@ -310,91 +362,3 @@ def process_contract(
     graph = embed_nodes(graph, vocab)
     graph.label = label
     return normalize(graph)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: a small binary container plus a JSON debug dump. Both
-# round-trip losslessly; the binary layout is magic "SGG1", little-endian
-# u32 n and d, then row-major f64 X (n*d), s_hat (n*n), a_hat (n*n),
-# i64 node ids (n), i64 spans (3n), and one label byte (0 none, 1 clean,
-# 2 defective).
-# ---------------------------------------------------------------------------
-
-_LABEL_BYTES = {None: 0, "clean": 1, "defective": 2}
-_BYTES_LABEL = {v: k for k, v in _LABEL_BYTES.items()}
-
-
-def graph_to_bytes(graph: NormalizedGraph) -> bytes:
-    n, d = graph.features.shape
-    parts = [
-        GRAPH_MAGIC,
-        struct.pack("<II", n, d),
-        np.ascontiguousarray(graph.features, dtype="<f8").tobytes(),
-        np.ascontiguousarray(graph.s_hat, dtype="<f8").tobytes(),
-        np.ascontiguousarray(graph.a_hat, dtype="<f8").tobytes(),
-        np.asarray(graph.node_ids, dtype="<i8").tobytes(),
-        np.asarray(graph.spans, dtype="<i8").reshape(-1).tobytes(),
-        struct.pack("<B", _LABEL_BYTES[graph.label]),
-    ]
-    return b"".join(parts)
-
-
-def graph_from_bytes(blob: bytes) -> NormalizedGraph:
-    if blob[:4] != GRAPH_MAGIC:
-        raise SchemaViolationError(f"bad graph magic {blob[:4]!r}")
-    n, d = struct.unpack_from("<II", blob, 4)
-    offset = 12
-
-    def take(count: int, dtype: str) -> np.ndarray:
-        nonlocal offset
-        size = count * 8
-        arr = np.frombuffer(blob, dtype=dtype, count=count, offset=offset).copy()
-        offset += size
-        return arr
-
-    features = take(n * d, "<f8").reshape(n, d)
-    s_hat = take(n * n, "<f8").reshape(n, n)
-    a_hat = take(n * n, "<f8").reshape(n, n)
-    node_ids = [int(v) for v in take(n, "<i8")]
-    spans_flat = take(3 * n, "<i8").reshape(n, 3)
-    (label_byte,) = struct.unpack_from("<B", blob, offset)
-    return NormalizedGraph(
-        features=features,
-        s_hat=s_hat,
-        a_hat=a_hat,
-        node_ids=node_ids,
-        spans=[tuple(int(v) for v in row) for row in spans_flat],
-        label=_BYTES_LABEL[label_byte],
-    )
-
-
-def save_graph(path: str | Path, graph: NormalizedGraph) -> None:
-    Path(path).write_bytes(graph_to_bytes(graph))
-
-
-def load_graph(path: str | Path) -> NormalizedGraph:
-    return graph_from_bytes(Path(path).read_bytes())
-
-
-def graph_to_json_dict(graph: NormalizedGraph) -> dict:
-    return {
-        "n": graph.n,
-        "dim": int(graph.features.shape[1]),
-        "node_ids": graph.node_ids,
-        "spans": [list(span) for span in graph.spans],
-        "label": graph.label,
-        "features": graph.features.tolist(),
-        "s_hat": graph.s_hat.tolist(),
-        "a_hat": graph.a_hat.tolist(),
-    }
-
-
-def graph_from_json_dict(data: dict) -> NormalizedGraph:
-    return NormalizedGraph(
-        features=np.asarray(data["features"], dtype=np.float64),
-        s_hat=np.asarray(data["s_hat"], dtype=np.float64),
-        a_hat=np.asarray(data["a_hat"], dtype=np.float64),
-        node_ids=[int(v) for v in data["node_ids"]],
-        spans=[tuple(int(v) for v in span) for span in data["spans"]],
-        label=data.get("label"),
-    )

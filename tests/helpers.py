@@ -23,29 +23,45 @@ LABEL_PAIRS = sorted(label_set_from_rules().entries, key=lambda p: (p[0], p[1].v
 CONTROL_TYPES = {"IfStatement", "ForStatement", "WhileStatement"}
 
 
-def random_contract_graph(rng: np.random.Generator, n_min=3, n_max=10, edge_p=0.35) -> ContractGraph:
-    """A structurally valid random graph over real (type, category) pairs."""
-    n = int(rng.integers(n_min, n_max + 1))
-    pairs = [LABEL_PAIRS[int(i)] for i in rng.integers(0, len(LABEL_PAIRS), size=n)]
+def _contract_graph(kinds: np.ndarray, links: list[tuple[int, int]]) -> ContractGraph:
+    """A ContractGraph whose node i has (type, category) LABEL_PAIRS[kinds[i]]
+    and whose links are `links` (i < j), each also a directed AstChild edge."""
+    n = len(kinds)
     node_ids = [100 + i for i in range(n)]
-    tuples = [
-        NodeTuple(n_id=node_ids[i], n_name=f"v{i}", n_type=pairs[i][0], n_value="", category=pairs[i][1])
-        for i in range(n)
-    ]
-    edges = []
-    adjacency = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_p:
-                adjacency[i, j] = adjacency[j, i] = 1.0
-                edges.append(EdgeTuple(e_s=node_ids[i], e_e=node_ids[j], e_t=EdgeType.AST_CHILD))
+    tuples = []
+    for i, k in enumerate(kinds.tolist()):
+        n_type, category = LABEL_PAIRS[k]
+        tuples.append(NodeTuple(n_id=node_ids[i], n_name=f"v{i}", n_type=n_type, n_value="", category=category))
     return ContractGraph(
         node_ids=node_ids,
         tuples=tuples,
         spans=[(i * 10, 5, 0) for i in range(n)],
-        adjacency=adjacency,
-        edges=edges,
+        pairs=np.array(sorted(links), dtype=np.int64).reshape(-1, 2),
+        edges=[EdgeTuple(e_s=node_ids[i], e_e=node_ids[j], e_t=EdgeType.AST_CHILD) for i, j in links],
     )
+
+
+def random_contract_graph(rng: np.random.Generator, n_min=3, n_max=10, edge_p=0.35) -> ContractGraph:
+    """A structurally valid random graph over real (type, category) pairs."""
+    n = int(rng.integers(n_min, n_max + 1))
+    kinds = rng.integers(0, len(LABEL_PAIRS), size=n)
+    links = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < edge_p]
+    return _contract_graph(kinds, links)
+
+
+def random_tree_graph(rng: np.random.Generator, n: int) -> ContractGraph:
+    """A random tree over n nodes: node i > 0 links to a uniform earlier node."""
+    kinds = rng.integers(0, len(LABEL_PAIRS), size=n)
+    links = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+    return _contract_graph(kinds, links)
+
+
+def dense_adjacency(graph: ContractGraph) -> np.ndarray:
+    """The n x n symmetric 0/1 adjacency of a graph's undirected links."""
+    adjacency = np.zeros((graph.n, graph.n))
+    for i, j in graph.pairs.tolist():
+        adjacency[i, j] = adjacency[j, i] = 1.0
+    return adjacency
 
 
 def random_label_subset(rng: np.random.Generator):
@@ -86,11 +102,10 @@ def random_normalized_graph(
     adjacency = (rng.random((n, n)) < 0.4).astype(float)
     adjacency = np.triu(adjacency, 1)
     adjacency = adjacency + adjacency.T
-    a_hat, s_hat = brute_force_normalize(adjacency)
+    _, s_hat = brute_force_normalize(adjacency)
     return NormalizedGraph(
         features=rng.normal(size=(n, dim)),
         s_hat=s_hat,
-        a_hat=a_hat,
         node_ids=list(range(n)),
         spans=[(0, 0, 0)] * n,
         label=label,
@@ -141,6 +156,20 @@ def brute_force_confusion(verdicts: list[str], labels: list[str]) -> tuple[int, 
     tn = sum(1 for v, l in zip(verdicts, labels) if v == "clean" and l == "clean")
     fn = sum(1 for v, l in zip(verdicts, labels) if v == "clean" and l == "defective")
     return tp, fp, tn, fn
+
+
+def nested_ast_json(depth: int) -> str:
+    """AST JSON text whose one expression is a chain of `depth` nested
+    BinaryOperation nodes, written as text so building it never recurses."""
+    head = "".join(
+        f'{{"id": {10 + k}, "nodeType": "BinaryOperation", "leftExpression": ' for k in range(depth)
+    )
+    leaf = '{"id": 5, "nodeType": "Literal", "value": "1"}'
+    return (
+        '{"id": 1, "nodeType": "SourceUnit", "nodes": [{"id": 2, "nodeType": "ContractDefinition", '
+        '"nodes": [{"id": 3, "nodeType": "ExpressionStatement", "expression": '
+        + head + leaf + "}" * depth + "}]}]}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from statelens.errors import (
     UnknownNodeError,
 )
 
-from helpers import walk_json_nodes
+from helpers import nested_ast_json, walk_json_nodes
 
 MINIMAL = '{"id": 1, "nodeType": "SourceUnit", "nodes": [{"id": 2, "nodeType": "ContractDefinition", "name": "C"}]}'
 
@@ -76,6 +76,19 @@ def test_duplicate_id_rejected():
 def test_non_object_root_rejected():
     with pytest.raises(SchemaViolationError):
         parse_ast_json("[1, 2, 3]")
+
+
+# 1500 levels exceed the JSON decoder's recursion limit; 600 levels decode,
+# but building the tree then recurses once per level and exceeds it too.
+@pytest.mark.parametrize("depth", [1500, 600])
+def test_too_deep_nesting_is_schema_violation(depth):
+    with pytest.raises(SchemaViolationError, match="nested too deeply"):
+        parse_ast_json(nested_ast_json(depth))
+
+
+def test_moderate_nesting_parses():
+    tree = parse_ast_json(nested_ast_json(100))
+    assert sum(n.node_type == "BinaryOperation" for n in tree.nodes.values()) == 100
 
 
 def test_node_count_matches_nodetype_objects(proxy_ast_text):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import statelens.cli
 from statelens.cli import main
 from statelens.corpus import load_corpus, split_items
 from statelens.feature_extract import label_set_from_rules
@@ -13,6 +14,8 @@ from statelens.graph_pipeline import (
     load_vocabulary,
     optimize_graph,
 )
+
+from helpers import nested_ast_json
 
 METRIC_FIELDS = {"acc", "recall", "precision", "f1", "fpr", "tp", "fp", "tn", "fn"}
 
@@ -326,6 +329,34 @@ def test_detect_unparseable_input_exit_two(trained, tmp_path, capsys):
     assert code == 2
     diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diagnostic["path"] == str(bad)
+
+
+def test_detect_too_deep_ast_does_not_stop_the_batch(trained, corpus_dir, tmp_path, capsys):
+    deep = tmp_path / "deep.ast.json"
+    deep.write_text(nested_ast_json(1500))
+    valid = corpus_dir / "pair0000_clean.ast.json"
+    argv = ["detect", "--model", str(trained["model"]), "--vocab", str(trained["vocab"])]
+    code = main([*argv, str(deep), str(valid)])
+    assert code == 2
+    captured = capsys.readouterr()
+    diagnostic = _single_error_line(captured.err)
+    assert diagnostic["path"] == str(deep) and diagnostic["code"] == "SchemaViolationError"
+    reports = [json.loads(line) for line in captured.out.strip().splitlines()]
+    assert [r["contract"] for r in reports] == [str(valid)]
+
+
+def test_unexpected_exception_is_one_diagnostic_exit_two(tmp_path, capsys, monkeypatch):
+    def explode(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(statelens.cli, "synth_generate", explode)
+    code = main(["gen", "--pairs", "1", "--seed", "1", "--out", str(tmp_path / "out")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diagnostic = _single_error_line(captured.err)
+    assert diagnostic["code"] == "internal-error" and "RuntimeError: boom" in diagnostic["message"]
+    assert diagnostic["where"].startswith("test_cli.py:")
 
 
 def test_eval_full_manifest(trained, corpus_dir, capsys):

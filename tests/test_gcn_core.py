@@ -44,7 +44,6 @@ def _graph(s_hat, features) -> NormalizedGraph:
     return NormalizedGraph(
         features=np.asarray(features, dtype=float),
         s_hat=np.asarray(s_hat, dtype=float),
-        a_hat=np.asarray(s_hat, dtype=float),
         node_ids=list(range(n)),
         spans=[(0, 0, 0)] * n,
     )
@@ -156,7 +155,6 @@ def test_forward_permutation_invariant():
             permuted = random_normalized_graph(rng, n=n, dim=6)
             permuted.features = g.features[perm]
             permuted.s_hat = g.s_hat[np.ix_(perm, perm)]
-            permuted.a_hat = g.a_hat[np.ix_(perm, perm)]
             assert np.max(np.abs(forward(params, permuted).logits - base)) <= 1e-10
 
 

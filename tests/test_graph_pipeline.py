@@ -2,10 +2,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from statelens.errors import EmptyCorpusError, EmptyGraphError, SchemaViolationError
+from statelens import detector as det
+from statelens.errors import EmptyCorpusError, EmptyGraphError, ShapeMismatchError
 from statelens.feature_extract import (
     DependencyCategory,
     EdgeTuple,
@@ -14,16 +13,16 @@ from statelens.feature_extract import (
     NodeTuple,
     extract_node_tuples,
 )
+from statelens.gcn_core import forward, loss_and_grads
 from statelens.graph_pipeline import (
+    DENSE_MAX_NODES,
     ContractGraph,
+    NormalizedGraph,
+    SparseOperator,
     build_contract_graph,
     build_graph,
     build_vocabulary,
     embed_nodes,
-    graph_from_bytes,
-    graph_from_json_dict,
-    graph_to_bytes,
-    graph_to_json_dict,
     load_vocabulary,
     normalize,
     optimize_graph,
@@ -35,8 +34,11 @@ from statelens.graph_pipeline import (
 from helpers import (
     brute_force_component,
     brute_force_normalize,
+    dense_adjacency,
     random_contract_graph,
     random_label_subset,
+    random_params,
+    random_tree_graph,
 )
 
 
@@ -143,7 +145,7 @@ def test_build_graph_single_node():
     tuples = extract_node_tuples(tree)
     graph = build_graph(tree, tuples, [])
     assert graph.n == 1
-    assert graph.adjacency.tolist() == [[0.0]]
+    assert dense_adjacency(graph).tolist() == [[0.0]]
 
 
 def test_build_graph_symmetrizes_edges():
@@ -154,8 +156,8 @@ def test_build_graph_symmetrizes_edges():
     ]
     edges = [EdgeTuple(e_s=3, e_e=2, e_t=EdgeType.AST_CHILD)]
     graph = build_graph(tree, tuples, edges)
-    assert graph.adjacency.tolist() == [[0.0, 1.0], [1.0, 0.0]]
-    assert graph.neighbor_map == {0: [1], 1: [0]}
+    assert dense_adjacency(graph).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert graph.pairs.tolist() == [[0, 1]]
 
 
 def test_build_graph_empty_raises():
@@ -166,18 +168,24 @@ def test_build_graph_empty_raises():
 
 def test_proxy_graph_adjacency_symmetric(proxy_tree):
     graph = build_contract_graph(proxy_tree)
-    assert np.array_equal(graph.adjacency, graph.adjacency.T)
+    adjacency = dense_adjacency(graph)
+    assert np.array_equal(adjacency, adjacency.T)
     assert graph.n == len(extract_node_tuples(proxy_tree))
     calls = [e for e in graph.edges if e.e_t is EdgeType.FUNC_CALL]
-    i, j = graph.index_of(calls[0].e_s), graph.index_of(calls[0].e_e)
-    assert graph.adjacency[i, j] == 1.0 and graph.adjacency[j, i] == 1.0
+    i, j = graph.node_ids.index(calls[0].e_s), graph.node_ids.index(calls[0].e_e)
+    assert adjacency[i, j] == 1.0 and adjacency[j, i] == 1.0
 
 
-def test_neighbor_map_matches_adjacency():
-    rng = np.random.default_rng(5)
-    graph = random_contract_graph(rng)
-    for i, neighbors in graph.neighbor_map.items():
-        assert neighbors == [int(j) for j in np.flatnonzero(graph.adjacency[i])]
+def test_build_graph_links_are_sorted_unique_edge_endpoints(proxy_tree):
+    graph = build_contract_graph(proxy_tree)
+    index = {node_id: i for i, node_id in enumerate(graph.node_ids)}
+    expected = {
+        (min(index[e.e_s], index[e.e_e]), max(index[e.e_s], index[e.e_e]))
+        for e in graph.edges
+        if e.e_s != e.e_e
+    }
+    assert [tuple(link) for link in graph.pairs.tolist()] == sorted(expected)
+    assert graph.pairs.dtype == np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +200,16 @@ def _chain_graph() -> ContractGraph:
         _tuple(2, "Assignment", DependencyCategory.EXPRESSION, name="b"),
         _tuple(3, "IfStatement", DependencyCategory.CONTROL, name="c"),
     ]
-    adjacency = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
     edges = [
         EdgeTuple(e_s=1, e_e=2, e_t=EdgeType.AST_CHILD),
         EdgeTuple(e_s=2, e_e=3, e_t=EdgeType.AST_CHILD),
     ]
     return ContractGraph(
-        node_ids=[1, 2, 3], tuples=tuples, spans=[(0, 1, 0)] * 3, adjacency=adjacency, edges=edges
+        node_ids=[1, 2, 3],
+        tuples=tuples,
+        spans=[(0, 1, 0)] * 3,
+        pairs=np.array([[0, 1], [1, 2]]),
+        edges=edges,
     )
 
 
@@ -207,7 +218,7 @@ def test_optimize_identity_with_full_label_set():
     full = LabelSet(entries=frozenset((t.n_type, t.category) for t in graph.tuples))
     out = optimize_graph(graph, full)
     assert out.node_ids == graph.node_ids
-    assert np.array_equal(out.adjacency, graph.adjacency)
+    assert np.array_equal(dense_adjacency(out), dense_adjacency(graph))
     assert out.edges == graph.edges
 
 
@@ -228,7 +239,7 @@ def test_optimize_chain_keeps_first_component():
     )
     out = optimize_graph(graph, without_b)
     assert out.node_ids == [1]  # {a, c} survive pruning; DFS keeps a's component
-    assert out.adjacency.tolist() == [[0.0]]
+    assert dense_adjacency(out).tolist() == [[0.0]]
     assert out.edges == []
 
 
@@ -245,10 +256,11 @@ def test_optimize_survivors_match_brute_force():
                 optimize_graph(graph, label_set)
             continue
         out = optimize_graph(graph, label_set)
+        adjacency = dense_adjacency(graph)
         pairs = {
             (i, int(j))
             for i in survivors
-            for j in np.flatnonzero(graph.adjacency[i])
+            for j in np.flatnonzero(adjacency[i])
             if int(j) in survivors
         }
         expected = brute_force_component(graph.n, pairs, survivors[0]) & set(survivors)
@@ -266,7 +278,7 @@ def test_optimize_idempotent():
             continue
         twice = optimize_graph(once, label_set)
         assert twice.node_ids == once.node_ids
-        assert np.array_equal(twice.adjacency, once.adjacency)
+        assert np.array_equal(dense_adjacency(twice), dense_adjacency(once))
         assert twice.edges == once.edges
 
 
@@ -281,7 +293,7 @@ def test_optimize_never_adds():
             continue
         assert set(out.node_ids) <= set(graph.node_ids)
         assert len(out.edges) <= len(graph.edges)
-        assert out.adjacency.sum() <= graph.adjacency.sum()
+        assert dense_adjacency(out).sum() <= dense_adjacency(graph).sum()
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +335,7 @@ def test_normalize_single_node_identity():
             node_ids=[1],
             tuples=[_tuple(1)],
             spans=[(0, 0, 0)],
-            adjacency=np.zeros((1, 1)),
+            pairs=np.zeros((0, 2), dtype=np.int64),
             edges=[],
         )
     )
@@ -338,7 +350,7 @@ def test_normalize_two_node_half_matrix():
             node_ids=[1, 2],
             tuples=[_tuple(1), _tuple(2, "Assignment")],
             spans=[(0, 0, 0)] * 2,
-            adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]),
+            pairs=np.array([[0, 1]]),
             edges=[],
         )
     )
@@ -351,7 +363,7 @@ def test_normalize_matches_brute_force_and_spectrum():
     for _ in range(100):
         graph = _with_features(random_contract_graph(rng, n_min=1, n_max=8))
         out = normalize(graph)
-        a_hat, s_expected = brute_force_normalize(graph.adjacency)
+        a_hat, s_expected = brute_force_normalize(dense_adjacency(graph))
         assert np.array_equal(out.a_hat, a_hat)
         assert np.max(np.abs(out.s_hat - s_expected)) < 1e-12
         assert np.array_equal(out.s_hat, out.s_hat.T)
@@ -363,6 +375,106 @@ def test_normalize_matches_brute_force_and_spectrum():
 
 
 # ---------------------------------------------------------------------------
+# normalize above DENSE_MAX_NODES: S as a SparseOperator
+# ---------------------------------------------------------------------------
+
+
+def _large_tree(seed: int = 31, n: int = 600) -> ContractGraph:
+    return _with_features(random_tree_graph(np.random.default_rng(seed), n))
+
+
+def _densified(graph: NormalizedGraph) -> NormalizedGraph:
+    """The same graph with S multiplied out into a dense array."""
+    return NormalizedGraph(
+        features=graph.features,
+        s_hat=graph.s_hat @ np.eye(graph.n),
+        node_ids=graph.node_ids,
+        spans=graph.spans,
+        label=graph.label,
+    )
+
+
+def _permuted(graph: ContractGraph, perm: np.ndarray) -> ContractGraph:
+    """Node k of the result is node perm[k] of `graph`."""
+    position = np.empty_like(perm)
+    position[perm] = np.arange(len(perm))
+    moved = position[graph.pairs]
+    links = sorted(zip(moved.min(axis=1).tolist(), moved.max(axis=1).tolist()))
+    return ContractGraph(
+        node_ids=[graph.node_ids[i] for i in perm],
+        tuples=[graph.tuples[i] for i in perm],
+        spans=[graph.spans[i] for i in perm],
+        pairs=np.array(links, dtype=np.int64),
+        edges=graph.edges,
+        features=graph.features[perm],
+    )
+
+
+def test_normalize_switches_to_operator_above_crossover():
+    rng = np.random.default_rng(30)
+    at = normalize(_with_features(random_tree_graph(rng, DENSE_MAX_NODES)))
+    above = normalize(_with_features(random_tree_graph(rng, DENSE_MAX_NODES + 1)))
+    assert isinstance(at.s_hat, np.ndarray)
+    assert isinstance(above.s_hat, SparseOperator)
+
+
+def test_normalize_large_graph_returns_small_operator():
+    graph = _large_tree()
+    n = graph.n
+    out = normalize(graph)
+    assert isinstance(out.s_hat, SparseOperator)
+    assert out.s_hat.shape == (n, n) and out.s_hat.ndim == 2 and out.n == n
+    assert out.s_hat.nbytes < n * n * 8 / 10
+    assert out.a_hat.nbytes < n * n * 8 / 10
+
+
+def test_sparse_operator_matches_brute_force():
+    graph = _large_tree()
+    out = normalize(graph)
+    dense = out.s_hat @ np.eye(graph.n)
+    a_hat, expected = brute_force_normalize(dense_adjacency(graph))
+    assert np.max(np.abs(dense - expected)) <= 1e-12
+    assert np.array_equal(dense, dense.T)
+    assert np.array_equal(out.a_hat @ np.eye(graph.n), a_hat)
+
+
+def test_sparse_operator_rejects_mismatched_operand():
+    out = normalize(_large_tree())
+    with pytest.raises(ShapeMismatchError):
+        out.s_hat @ np.ones((out.n + 1, 3))
+    with pytest.raises(ShapeMismatchError):
+        out.s_hat @ np.ones(out.n)
+
+
+def test_sparse_forward_matches_dense_s():
+    rng = np.random.default_rng(32)
+    sparse = normalize(_large_tree())
+    dense = _densified(sparse)
+    params = random_params(rng, dim=sparse.features.shape[1], hidden=5, scale=0.5)
+    assert abs(forward(params, sparse).probability - forward(params, dense).probability) <= 1e-12
+    model = det.GcnModel(params=params)
+    ranked_sparse = det.localize(model, sparse, k=sparse.n)
+    ranked_dense = det.localize(model, dense, k=dense.n)
+    saliences_sparse = np.array([s for _, s in ranked_sparse])
+    saliences_dense = np.array([s for _, s in ranked_dense])
+    assert np.max(np.abs(saliences_sparse - saliences_dense)) <= 1e-12
+    _, grads_sparse = loss_and_grads(params, sparse, "defective", 5e-4)
+    _, grads_dense = loss_and_grads(params, dense, "defective", 5e-4)
+    assert np.max(np.abs(grads_sparse.flat - grads_dense.flat)) <= 1e-12
+
+
+def test_sparse_forward_permutation_invariant():
+    rng = np.random.default_rng(33)
+    graph = _large_tree()
+    params = random_params(rng, dim=graph.features.shape[1], hidden=5, scale=0.5)
+    base = forward(params, normalize(graph)).probability
+    for _ in range(5):
+        permuted = normalize(_permuted(graph, rng.permutation(graph.n)))
+        assert isinstance(permuted.s_hat, SparseOperator)
+        assert abs(forward(params, permuted).probability - base) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
 # full pipeline determinism and serialization
 # ---------------------------------------------------------------------------
 
@@ -371,43 +483,6 @@ def test_pipeline_bit_identical(proxy_tree):
     vocab = build_vocabulary([extract_node_tuples(proxy_tree)], dim=8, seed=4)
     a = process_contract(proxy_tree, vocab, label="defective")
     b = process_contract(proxy_tree, vocab, label="defective")
-    assert graph_to_bytes(a) == graph_to_bytes(b)
-
-
-def test_graph_binary_roundtrip(proxy_tree):
-    vocab = build_vocabulary([extract_node_tuples(proxy_tree)], dim=8, seed=4)
-    graph = process_contract(proxy_tree, vocab, label="clean")
-    back = graph_from_bytes(graph_to_bytes(graph))
-    assert np.array_equal(back.features, graph.features)
-    assert np.array_equal(back.s_hat, graph.s_hat)
-    assert np.array_equal(back.a_hat, graph.a_hat)
-    assert back.node_ids == graph.node_ids
-    assert back.spans == graph.spans
-    assert back.label == graph.label
-
-
-def test_graph_json_roundtrip(proxy_tree):
-    vocab = build_vocabulary([extract_node_tuples(proxy_tree)], dim=8, seed=4)
-    graph = process_contract(proxy_tree, vocab)
-    dumped = json.dumps(graph_to_json_dict(graph))
-    back = graph_from_json_dict(json.loads(dumped))
-    assert np.array_equal(back.features, graph.features)
-    assert np.array_equal(back.s_hat, graph.s_hat)
-    assert back.node_ids == graph.node_ids
-
-
-def test_graph_bad_magic_rejected():
-    with pytest.raises(SchemaViolationError):
-        graph_from_bytes(b"NOPE" + b"\x00" * 64)
-
-
-@given(st.integers(min_value=0, max_value=2**31))
-@settings(max_examples=30)
-def test_bytes_roundtrip_property(seed):
-    rng = np.random.default_rng(seed)
-    graph = _with_features(random_contract_graph(rng, n_min=1, n_max=6))
-    graph.label = ["defective", "clean", None][seed % 3]
-    normalized = normalize(graph)
-    back = graph_from_bytes(graph_to_bytes(normalized))
-    assert np.array_equal(back.s_hat, normalized.s_hat)
-    assert back.label == normalized.label
+    assert a.features.tobytes() == b.features.tobytes()
+    assert a.s_hat.tobytes() == b.s_hat.tobytes()
+    assert (a.node_ids, a.spans, a.label) == (b.node_ids, b.spans, b.label)
