@@ -25,7 +25,7 @@ from .errors import (
 )
 
 # Keys handled structurally rather than stored as attributes.
-_RESERVED_KEYS = ("id", "nodeType", "name", "src")
+_RESERVED_KEYS = frozenset(("id", "nodeType", "name", "src"))
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,14 @@ class AstTree:
     nodes: dict[int, AstNode]
     source_unit: str = "<memory>"
     compiler_version: str = ""
+    # child id -> parent id for every non-root node; derived from `children`
+    # when not given (the parser records it as it builds the tree)
+    parents: dict[int, int] | None = None
+
+    def __post_init__(self):
+        if self.parents is None:
+            parents = {child: node.id for node in self.nodes.values() for child in node.children}
+            object.__setattr__(self, "parents", parents)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -82,12 +90,12 @@ def _parse_src(raw: Any, path: str) -> tuple[int, int, int]:
     if len(parts) != 3:
         raise SchemaViolationError(f"{path}: src must look like 'offset:length:file', got {raw!r}")
     try:
-        offset, length, file_index = (int(p) for p in parts)
+        span = (int(parts[0]), int(parts[1]), int(parts[2]))
     except ValueError:
         raise SchemaViolationError(f"{path}: non-integer src component in {raw!r}") from None
-    if offset < 0 or length < 0:
+    if span[0] < 0 or span[1] < 0:
         raise SchemaViolationError(f"{path}: negative src span {raw!r}")
-    return (offset, length, file_index)
+    return span
 
 
 def _collect(value: Any, key: str, attrs: dict[str, str], child_objs: list[dict]) -> None:
@@ -111,13 +119,90 @@ def _collect(value: Any, key: str, attrs: dict[str, str], child_objs: list[dict]
         attrs[key] = _format_scalar(value)
 
 
+def _error_path(source_unit: str, nodes: dict[int, AstNode], parents: dict[int, int], parent_id) -> str:
+    """Where a node sits, for error messages: the source unit, then
+    `/nodeType[id]` for each ancestor from the root down to `parent_id`."""
+    steps = []
+    while parent_id is not None:
+        node = nodes[parent_id]
+        steps.append(f"/{node.node_type}[{node.id}]")
+        parent_id = parents.get(parent_id)
+    return source_unit + "".join(reversed(steps))
+
+
+def _build_nodes(data: dict, source_unit: str) -> tuple[dict[int, AstNode], dict[int, int]]:
+    """Nodes in preorder, and each non-root node's parent id, built with an
+    explicit stack so nesting depth costs no interpreter recursion.
+
+    A node is made when it is first reached, its children named by the ids
+    of their JSON objects; a child whose id is bad raises when the walk
+    reaches it. A bad `src` is reported once the node's subtree is done,
+    so every error is raised in the same order the node-by-node recursive
+    build would raise it.
+    """
+    nodes: dict[int, AstNode] = {}
+    parents: dict[int, int] = {}
+    bad_src: dict[int, Any] = {}
+    stack: list[tuple[dict | None, int | None]] = [(data, None)]
+    while stack:
+        obj, parent_id = stack.pop()
+        if obj is None:  # the subtree of node `parent_id` is built; its src is not valid
+            path = _error_path(source_unit, nodes, parents, parents.get(parent_id))
+            _parse_src(bad_src[parent_id], path)
+        node_type = obj.get("nodeType")
+        if not isinstance(node_type, str) or not node_type:
+            path = _error_path(source_unit, nodes, parents, parent_id)
+            raise SchemaViolationError(f"{path}: nodeType must be a non-empty string")
+        node_id = obj.get("id")
+        if not isinstance(node_id, int) or isinstance(node_id, bool):
+            path = _error_path(source_unit, nodes, parents, parent_id)
+            raise SchemaViolationError(f"{path}: missing or non-integer id on {node_type}")
+        if node_id in nodes:
+            path = _error_path(source_unit, nodes, parents, parent_id)
+            raise SchemaViolationError(f"{path}: duplicate id {node_id}")
+
+        attrs: dict[str, str] = {}
+        child_objs: list[dict] = []
+        for key, value in obj.items():
+            if key in _RESERVED_KEYS:
+                continue
+            if isinstance(value, str):  # the two common cases inline; `_collect` does the rest
+                attrs[key] = value
+            elif isinstance(value, dict) and "nodeType" in value:
+                child_objs.append(value)
+            else:
+                _collect(value, key, attrs, child_objs)
+
+        raw_src = obj.get("src")
+        try:
+            span = _parse_src(raw_src, source_unit)
+        except SchemaViolationError:  # raised again, with its path, after the subtree
+            span = (0, 0, 0)
+            bad_src[node_id] = raw_src
+            stack.append((None, node_id))
+        raw_name = obj.get("name")
+        nodes[node_id] = AstNode(  # positional: about a quarter cheaper than by keyword
+            node_id,
+            node_type,
+            raw_name if isinstance(raw_name, str) else None,
+            attrs,
+            span,
+            tuple([child.get("id") for child in child_objs]),
+        )
+        if parent_id is not None:
+            parents[node_id] = parent_id
+        stack += [(child, node_id) for child in reversed(child_objs)]
+    return nodes, parents
+
+
 def parse_ast_json(document: str, source_unit: str = "<memory>") -> AstTree:
     """Parse one compact-AST JSON document into an AstTree.
 
     Every JSON object bearing a ``nodeType`` becomes exactly one node;
-    nesting order decides the child order. Raises EmptyDocumentError,
-    MalformedJsonError (with byte offset), or SchemaViolationError (also
-    for a document nested deeper than the interpreter's recursion limit).
+    nesting order decides the child order, and `nodes` holds them in
+    preorder. Raises EmptyDocumentError, MalformedJsonError (with byte
+    offset), or SchemaViolationError (also for a document nested deeper
+    than the JSON decoder accepts).
     """
     if not document or not document.strip():
         raise EmptyDocumentError(f"{source_unit}: empty document")
@@ -133,68 +218,22 @@ def parse_ast_json(document: str, source_unit: str = "<memory>") -> AstTree:
         raise SchemaViolationError(f"{source_unit}: document root must be a JSON object")
     if "nodeType" not in data:
         raise SchemaViolationError(f"{source_unit}: document root has no nodeType")
-
-    nodes: dict[int, AstNode] = {}
-
-    def build(obj: dict, path: str) -> int:
-        node_type = obj.get("nodeType")
-        if not isinstance(node_type, str) or not node_type:
-            raise SchemaViolationError(f"{path}: nodeType must be a non-empty string")
-        node_id = obj.get("id")
-        if not isinstance(node_id, int) or isinstance(node_id, bool):
-            raise SchemaViolationError(f"{path}: missing or non-integer id on {node_type}")
-        if node_id in nodes:
-            raise SchemaViolationError(f"{path}: duplicate id {node_id}")
-        # Reserve the slot before recursing so nested duplicates are caught.
-        nodes[node_id] = None  # type: ignore[assignment]
-
-        raw_name = obj.get("name")
-        name = raw_name if isinstance(raw_name, str) else None
-        attrs: dict[str, str] = {}
-        child_objs: list[dict] = []
-        for key, value in obj.items():
-            if key in _RESERVED_KEYS:
-                continue
-            _collect(value, key, attrs, child_objs)
-
-        children = tuple(
-            build(child, f"{path}/{node_type}[{node_id}]") for child in child_objs
-        )
-        nodes[node_id] = AstNode(
-            id=node_id,
-            node_type=node_type,
-            name=name,
-            attributes=attrs,
-            src_span=_parse_src(obj.get("src"), path),
-            children=children,
-        )
-        return node_id
-
     try:
-        root_id = build(data, source_unit)
-    except RecursionError:
+        nodes, parents = _build_nodes(data, source_unit)
+    except RecursionError:  # attribute values (not nodes) nested past the limit
         raise SchemaViolationError(f"{source_unit}: AST nested too deeply to parse") from None
     compiler_version = data.get("compilerVersion", "")
     return AstTree(
-        root_id=root_id,
+        root_id=data["id"],
         nodes=nodes,
         source_unit=source_unit,
         compiler_version=compiler_version if isinstance(compiler_version, str) else "",
+        parents=parents,
     )
 
 
-def preorder(tree: AstTree) -> Iterator[AstNode]:
-    """DFS preorder over the tree, following recorded child order."""
-    stack = [tree.root_id]
-    while stack:
-        node = tree.nodes.get(stack.pop())
-        if node is None:
-            continue
-        yield node
-        stack.extend(reversed(node.children))
-
-
 def subtree_preorder(tree: AstTree, node_id: int) -> Iterator[AstNode]:
+    """DFS preorder over the subtree at `node_id`, following child order."""
     stack = [node_id]
     while stack:
         node = tree.nodes.get(stack.pop())
@@ -202,14 +241,6 @@ def subtree_preorder(tree: AstTree, node_id: int) -> Iterator[AstNode]:
             continue
         yield node
         stack.extend(reversed(node.children))
-
-
-def parent_map(tree: AstTree) -> dict[int, int]:
-    parents: dict[int, int] = {}
-    for node in tree.nodes.values():
-        for child in node.children:
-            parents[child] = node.id
-    return parents
 
 
 def validate_tree(tree: AstTree) -> list[Diagnostic]:

@@ -26,7 +26,7 @@ from .errors import (
     EmptyGraphError,
     StateLensError,
 )
-from .feature_extract import default_rules, label_set_from_rules, load_rules
+from .feature_extract import RuleTable, default_rules, label_set_from_rules, load_rules
 from .gcn_core import TrainConfig
 from .graph_pipeline import (
     ContractGraph,
@@ -72,8 +72,8 @@ def _probability(text: str) -> float:
     return value
 
 
-def _load_rule_table(path: str | None):
-    return default_rules() if path is None else tuple(load_rules(path))
+def _load_rule_table(path: str | None) -> RuleTable:
+    return default_rules() if path is None else RuleTable(load_rules(path))
 
 
 def _prune_contracts(
@@ -200,6 +200,7 @@ def cmd_detect(args) -> int:
     model, vocab = loaded
     rules = _load_rule_table(args.rules)
     label_set = label_set_from_rules(rules)
+    fingerprint = model.fingerprint()
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -213,7 +214,12 @@ def cmd_detect(args) -> int:
             graph = optimize_graph(build_contract_graph(tree, rules), label_set)
             normalized = normalize(embed_nodes(graph, vocab))
             report = det.build_report(
-                model, normalized, contract=str(path), threshold=args.threshold, k=args.top_k
+                model,
+                normalized,
+                contract=str(path),
+                threshold=args.threshold,
+                k=args.top_k,
+                model_fingerprint=fingerprint,
             )
         except OSError as exc:
             _diagnostic(path=str(path), code="io-error", message=str(exc))

@@ -280,7 +280,11 @@ def build_report(
     contract: str,
     threshold: float = 0.5,
     k: int = 5,
+    model_fingerprint: str | None = None,
 ) -> DetectionReport:
+    """Verdict and suspect nodes for one graph. `model_fingerprint` is
+    `model.fingerprint()` when the caller has hashed the model already, as
+    `detect` does once per call; otherwise the model is hashed here."""
     trace = forward(model.params, graph)  # one pass serves verdict and ranking
     span_of = dict(zip(graph.node_ids, graph.spans))
     top = [
@@ -292,6 +296,6 @@ def build_report(
         verdict=_verdict(trace.probability, threshold),
         probability=trace.probability,
         top_nodes=top,
-        model_fingerprint=model.fingerprint(),
+        model_fingerprint=model_fingerprint or model.fingerprint(),
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )

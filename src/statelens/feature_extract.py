@@ -16,8 +16,9 @@ from enum import Enum
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
+from typing import Iterable, Iterator
 
-from .ast_ingest import AstNode, AstTree, parent_map, subtree_preorder
+from .ast_ingest import AstNode, AstTree, subtree_preorder
 from .errors import SchemaViolationError
 
 
@@ -58,7 +59,7 @@ class EdgeTuple:
     e_t: EdgeType
 
     def __post_init__(self):
-        if self.e_t in _NO_SELF_LOOP and self.e_s == self.e_e:
+        if self.e_s == self.e_e and self.e_t in _NO_SELF_LOOP:  # ints first: no enum hash
             raise ValueError(f"{self.e_t.value} edge may not self-loop (node {self.e_s})")
 
 
@@ -82,6 +83,60 @@ class LabelSet:
 
     def __contains__(self, pair: tuple[str, DependencyCategory]) -> bool:
         return pair in self.entries
+
+
+class RuleTable:
+    """An ordered rule list compiled per nodeType: first match wins, and a
+    node costs one lookup of its type plus the predicates of that type's
+    candidate rules.
+
+    The candidates for a nodeType are the rules whose pattern matches it,
+    in rule order, cut after the first one without predicates (it always
+    matches, so no later rule can decide). They are found the first time
+    the type is seen, so loading a table matches no pattern. Iterating the
+    table yields its rules in order.
+    """
+
+    def __init__(self, rules: Iterable[Rule]):
+        self.rules = tuple(rules)
+        self._candidates: dict[str, tuple[Rule, ...]] = {}
+
+    def __iter__(self) -> Iterator[Rule]:
+        return iter(self.rules)
+
+    def candidates(self, node_type: str) -> tuple[Rule, ...]:
+        found = self._candidates.get(node_type)
+        if found is None:
+            matching = []
+            for rule in self.rules:
+                if fnmatch.fnmatchcase(node_type, rule.pattern):
+                    matching.append(rule)
+                    if not rule.attrs:
+                        break
+            found = self._candidates[node_type] = tuple(matching)
+        return found
+
+    def category(
+        self, node_type: str, attributes: dict[str, str], ref_kind: str | None = None
+    ) -> DependencyCategory | None:
+        """What `Rule.matches` in rule order gives, with `ref_kind` (when
+        not None) standing in for the node's own `ref_kind` attribute."""
+        for rule in self.candidates(node_type):
+            for key, value in rule.attrs:
+                actual = ref_kind if key == "ref_kind" and ref_kind is not None else attributes.get(key)
+                if actual != value:
+                    break
+            else:
+                return rule.category
+        return None
+
+
+def _rule_table(rules=None) -> RuleTable:
+    """The default table for None, `rules` itself when already compiled,
+    otherwise a table compiled from the given rules."""
+    if rules is None:
+        return default_rules()
+    return rules if isinstance(rules, RuleTable) else RuleTable(rules)
 
 
 def parse_rules(text: str) -> list[Rule]:
@@ -120,9 +175,9 @@ def load_rules(path: str | Path) -> list[Rule]:
 
 
 @lru_cache(maxsize=1)
-def default_rules() -> tuple[Rule, ...]:
+def default_rules() -> RuleTable:
     text = resources.files("statelens").joinpath("data/default.rules").read_text("utf-8")
-    return tuple(parse_rules(text))
+    return RuleTable(parse_rules(text))
 
 
 def label_set_from_rules(rules=None) -> LabelSet:
@@ -136,29 +191,6 @@ def label_set_from_rules(rules=None) -> LabelSet:
     return LabelSet(entries=frozenset(entries))
 
 
-def resolve_reference_kinds(tree: AstTree) -> dict[int, str]:
-    """Map node id -> kind of its referencedDeclaration target, when in-tree."""
-    kinds: dict[int, str] = {}
-    for node in tree.nodes.values():
-        target_id = referenced_declaration(node)
-        if target_id is None:
-            continue
-        target = tree.nodes.get(target_id)
-        if target is None:
-            continue
-        if target.node_type in ("VariableDeclaration", "StateVariableDeclaration"):
-            kinds[node.id] = "variable"
-        elif target.node_type == "FunctionDefinition":
-            kinds[node.id] = "function"
-        elif target.node_type == "ModifierDefinition":
-            kinds[node.id] = "modifier"
-        elif target.node_type == "EventDefinition":
-            kinds[node.id] = "event"
-        else:
-            kinds[node.id] = "other"
-    return kinds
-
-
 def referenced_declaration(node: AstNode) -> int | None:
     raw = node.attributes.get("referencedDeclaration")
     if raw is None:
@@ -169,20 +201,33 @@ def referenced_declaration(node: AstNode) -> int | None:
         return None
 
 
+def reference_kind(tree: AstTree, node: AstNode) -> str | None:
+    """Kind of the node's referencedDeclaration target, when it is in the tree."""
+    target_id = referenced_declaration(node)
+    if target_id is None:
+        return None
+    target = tree.nodes.get(target_id)
+    if target is None:
+        return None
+    return _REFERENCE_KINDS.get(target.node_type, "other")
+
+
+_REFERENCE_KINDS = {
+    "VariableDeclaration": "variable",
+    "StateVariableDeclaration": "variable",
+    "FunctionDefinition": "function",
+    "ModifierDefinition": "modifier",
+    "EventDefinition": "event",
+}
+
+
 def categorize_node(node: AstNode, rules=None, ref_kind: str | None = None):
     """First-match category for one node, or None when no rule applies.
 
     Pure in (node_type, attributes): `ref_kind` joins the attribute view as
     a pseudo-attribute so callers resolving references stay deterministic.
     """
-    rules = default_rules() if rules is None else rules
-    attributes = node.attributes
-    if ref_kind is not None:
-        attributes = {**node.attributes, "ref_kind": ref_kind}
-    for rule in rules:
-        if rule.matches(node.node_type, attributes):
-            return rule.category
-    return None
+    return _rule_table(rules).category(node.node_type, node.attributes, ref_kind)
 
 
 def _node_value(tree: AstTree, node: AstNode) -> str:
@@ -201,29 +246,34 @@ def _node_value(tree: AstTree, node: AstNode) -> str:
 
 def extract_node_tuples(tree: AstTree, rules=None) -> list[NodeTuple]:
     """One tuple per categorized node, in DFS preorder."""
-    rules = default_rules() if rules is None else rules
-    ref_kinds = resolve_reference_kinds(tree)
+    table = _rule_table(rules)
     tuples: list[NodeTuple] = []
     for node in subtree_preorder(tree, tree.root_id):
-        category = categorize_node(node, rules, ref_kind=ref_kinds.get(node.id))
-        if category is None:
+        candidates = table.candidates(node.node_type)
+        if not candidates:
             continue
-        tuples.append(
-            NodeTuple(
-                n_id=node.id,
-                n_name=node.name or "",
-                n_type=node.node_type,
-                n_value=_node_value(tree, node),
-                category=category,
-            )
-        )
+        if candidates[0].attrs:  # predicates decide; resolve the reference once
+            category = table.category(node.node_type, node.attributes, reference_kind(tree, node))
+            if category is None:
+                continue
+        else:
+            category = candidates[0].category
+        # positional: n_id, n_name, n_type, n_value, category
+        value = _node_value(tree, node)
+        tuples.append(NodeTuple(node.id, node.name or "", node.node_type, value, category))
     return tuples
 
 
-def _first_categorized(tree: AstTree, root_id: int, categorized: set[int]) -> int | None:
-    for node in subtree_preorder(tree, root_id):
+def _first_categorized(nodes: dict[int, AstNode], root_id: int, categorized: set[int]) -> int | None:
+    """The first categorized node of the subtree at `root_id`, in preorder."""
+    stack = [root_id]
+    while stack:
+        node = nodes.get(stack.pop())
+        if node is None:
+            continue
         if node.id in categorized:
             return node.id
+        stack.extend(reversed(node.children))
     return None
 
 
@@ -239,6 +289,9 @@ def _resolve_callee(tree: AstTree, call: AstNode) -> int | None:
     return None
 
 
+_EDGE_TYPE_OF = {t.value: t for t in EdgeType}
+
+
 def extract_edges(tree: AstTree, tuples: list[NodeTuple]) -> list[EdgeTuple]:
     """Typed directed edges between categorized nodes, sorted by (e_s, e_e, e_t).
 
@@ -249,42 +302,42 @@ def extract_edges(tree: AstTree, tuples: list[NodeTuple]) -> list[EdgeTuple]:
     therefore always a single tree, so pruning uncategorized syntax never
     disconnects a function from its contract.
     """
+    nodes, parents = tree.nodes, tree.parents
     categorized = {t.n_id for t in tuples}
-    category_of = {t.n_id: t.category for t in tuples}
-    parents = parent_map(tree)
     first_id = tuples[0].n_id if tuples else None
-    edges: set[tuple[int, int, EdgeType]] = set()
+    # (source, target, EdgeType value): sorting these sorts by (e_s, e_e, e_t)
+    edges: set[tuple[int, int, str]] = set()
 
-    for node_id in categorized:
+    for t in tuples:
+        node_id = t.n_id
+        node = nodes[node_id]
+
         ancestor = parents.get(node_id)
         while ancestor is not None and ancestor not in categorized:
             ancestor = parents.get(ancestor)
         if ancestor is None and node_id != first_id:
             ancestor = first_id
         if ancestor is not None:
-            edges.add((ancestor, node_id, EdgeType.AST_CHILD))
-
-    for node_id in categorized:
-        node = tree.nodes[node_id]
+            edges.add((ancestor, node_id, "AstChild"))
 
         target = referenced_declaration(node)
         if target is not None and target in categorized and target != node_id:
-            edges.add((node_id, target, EdgeType.DECL_REF))
+            edges.add((node_id, target, "DeclRef"))
 
         if node.node_type == "FunctionCall":
             callee = _resolve_callee(tree, node)
             if callee is not None and callee in categorized and callee != node_id:
-                edges.add((node_id, callee, EdgeType.FUNC_CALL))
+                edges.add((node_id, callee, "FuncCall"))
 
-        if category_of[node_id] is DependencyCategory.CONTROL:
+        if t.category is DependencyCategory.CONTROL:
             for child_id in node.children:
-                first = _first_categorized(tree, child_id, categorized)
+                first = _first_categorized(nodes, child_id, categorized)
                 if first is not None and first != node_id:
-                    edges.add((node_id, first, EdgeType.CONTROL_FLOW))
+                    edges.add((node_id, first, "ControlFlow"))
 
         if node.node_type == "Assignment" and node.children:
             lhs, rhs_roots = node.children[0], node.children[1:]
-            target = _first_categorized(tree, lhs, categorized)
+            target = _first_categorized(nodes, lhs, categorized)
             if target is not None:
                 for rhs_root in rhs_roots:
                     for descendant in subtree_preorder(tree, rhs_root):
@@ -293,9 +346,6 @@ def extract_edges(tree: AstTree, tuples: list[NodeTuple]) -> list[EdgeTuple]:
                             and descendant.id in categorized
                             and descendant.id != target
                         ):
-                            edges.add((descendant.id, target, EdgeType.DATA_DEP))
+                            edges.add((descendant.id, target, "DataDep"))
 
-    return [
-        EdgeTuple(e_s=s, e_e=e, e_t=t)
-        for s, e, t in sorted(edges, key=lambda item: (item[0], item[1], item[2].value))
-    ]
+    return [EdgeTuple(s, e, _EDGE_TYPE_OF[t]) for s, e, t in sorted(edges)]

@@ -267,7 +267,8 @@ def build_graph(
 
 def optimize_graph(graph: ContractGraph, label_set: LabelSet) -> ContractGraph:
     """Prune nodes outside the label set, then drop components disconnected
-    from the first surviving node. Idempotent; never adds nodes or edges."""
+    from the first surviving node. Idempotent; never adds nodes or edges.
+    A graph that loses no node is returned as it is, not copied."""
     surviving = [(t.n_type, t.category) in label_set for t in graph.tuples]
     if not any(surviving):
         raise EmptyGraphError("label set pruned every node")
@@ -288,6 +289,8 @@ def optimize_graph(graph: ContractGraph, label_set: LabelSet) -> ContractGraph:
                 stack.append(j)
 
     keep = [i for i in range(graph.n) if in_component[i]]
+    if len(keep) == graph.n:
+        return graph
     keep_ids = {graph.node_ids[i] for i in keep}
     remap = np.full(graph.n, -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep))

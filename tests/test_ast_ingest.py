@@ -8,8 +8,8 @@ from statelens.ast_ingest import (
     AstNode,
     AstTree,
     parse_ast_json,
-    preorder,
     span_to_source,
+    subtree_preorder,
     tree_to_json,
     validate_tree,
 )
@@ -78,9 +78,8 @@ def test_non_object_root_rejected():
         parse_ast_json("[1, 2, 3]")
 
 
-# 1500 levels exceed the JSON decoder's recursion limit; 600 levels decode,
-# but building the tree then recurses once per level and exceeds it too.
-@pytest.mark.parametrize("depth", [1500, 600])
+# 1500 levels exceed the JSON decoder's recursion limit.
+@pytest.mark.parametrize("depth", [1500])
 def test_too_deep_nesting_is_schema_violation(depth):
     with pytest.raises(SchemaViolationError, match="nested too deeply"):
         parse_ast_json(nested_ast_json(depth))
@@ -89,6 +88,16 @@ def test_too_deep_nesting_is_schema_violation(depth):
 def test_moderate_nesting_parses():
     tree = parse_ast_json(nested_ast_json(100))
     assert sum(n.node_type == "BinaryOperation" for n in tree.nodes.values()) == 100
+
+
+def test_600_level_nesting_parses():
+    """The tree is built with an explicit stack, so any depth the JSON
+    decoder accepts parses: 600 nested BinaryOperations plus the root,
+    contract, statement and literal."""
+    tree = parse_ast_json(nested_ast_json(600))
+    assert len(tree) == 604
+    assert sum(n.node_type == "BinaryOperation" for n in tree.nodes.values()) == 600
+    assert [n.id for n in subtree_preorder(tree, tree.root_id)] == list(tree.nodes)
 
 
 def test_node_count_matches_nodetype_objects(proxy_ast_text):
@@ -126,6 +135,71 @@ def test_scalar_attributes_captured():
     node = parse_ast_json(doc).nodes[1]
     assert node.attributes["stateVariable"] == "true"
     assert node.attributes["typeDescriptions.typeString"] == "uint256"
+
+
+def _doc_with_src(src) -> str:
+    return json.dumps({"id": 1, "nodeType": "SourceUnit", "src": src})
+
+
+@pytest.mark.parametrize(
+    "src,span",
+    [("12:34:0", (12, 34, 0)), ("0:0:-1", (0, 0, -1)), ("+3: 4 :1_0", (3, 4, 10)), (None, (0, 0, 0))],
+)
+def test_src_fields_read_as_int_reads_them(src, span):
+    assert parse_ast_json(_doc_with_src(src)).nodes[1].src_span == span
+
+
+# "²" (superscript two) is a digit to str.isdigit but not to int().
+@pytest.mark.parametrize("src", ["²:1:0", "1:2", "1:2:3:4", "a:1:0", "1::0", "-1:2:0", "1:-2:0", 7, ["1:2:0"]])
+def test_bad_src_is_schema_violation(src):
+    with pytest.raises(SchemaViolationError, match="src"):
+        parse_ast_json(_doc_with_src(src))
+
+
+def _contract_with(*members) -> str:
+    contract = {"id": 2, "nodeType": "ContractDefinition", "nodes": list(members)}
+    return json.dumps({"id": 1, "nodeType": "SourceUnit", "nodes": [contract]})
+
+
+def test_error_names_the_path_of_the_bad_node():
+    with pytest.raises(SchemaViolationError) as err:
+        parse_ast_json(_contract_with({"id": 3, "nodeType": ""}), source_unit="u.json")
+    assert str(err.value) == "u.json/SourceUnit[1]/ContractDefinition[2]: nodeType must be a non-empty string"
+
+
+@pytest.mark.parametrize(
+    "members,message",
+    [
+        # a bad src below a bad src: the deeper one is met first
+        (
+            [{"id": 3, "nodeType": "Block", "src": "x:1:0", "nodes": [{"id": 4, "nodeType": "Return", "src": "y:1:0"}]}],
+            "u/SourceUnit[1]/ContractDefinition[2]/Block[3]: non-integer src component in 'y:1:0'",
+        ),
+        # a bad src, then a bad id in the next sibling
+        (
+            [{"id": 3, "nodeType": "Block", "src": "x:1:0"}, {"id": True, "nodeType": "Return"}],
+            "u/SourceUnit[1]/ContractDefinition[2]: non-integer src component in 'x:1:0'",
+        ),
+        # a bad id below a bad src
+        (
+            [{"id": 3, "nodeType": "Block", "src": "x:1:0", "nodes": [{"id": 2, "nodeType": "Return"}]}],
+            "u/SourceUnit[1]/ContractDefinition[2]/Block[3]: duplicate id 2",
+        ),
+    ],
+)
+def test_errors_come_in_recursive_build_order(members, message):
+    """The first error is the one a node-by-node recursive build meets
+    first: a node's nodeType and id before its children, its src after."""
+    with pytest.raises(SchemaViolationError) as err:
+        parse_ast_json(_contract_with(*members), source_unit="u")
+    assert str(err.value) == message
+
+
+def test_parser_records_each_nodes_parent(proxy_tree):
+    derived = AstTree(root_id=proxy_tree.root_id, nodes=proxy_tree.nodes).parents
+    assert proxy_tree.parents == derived
+    assert len(derived) == len(proxy_tree) - 1
+    assert all(child in proxy_tree.nodes[parent].children for child, parent in derived.items())
 
 
 def test_validate_parse_output_is_clean(proxy_tree):
@@ -210,7 +284,7 @@ def random_tree_docs(draw) -> dict:
 
 
 def _signature(tree: AstTree) -> list[tuple]:
-    return [(n.id, n.node_type, n.name, n.children, n.attributes) for n in preorder(tree)]
+    return [(n.id, n.node_type, n.name, n.children, n.attributes) for n in subtree_preorder(tree, tree.root_id)]
 
 
 @given(random_tree_docs())

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import statelens.cli
+import statelens.gcn_core
 from statelens.cli import main
 from statelens.corpus import load_corpus, split_items
 from statelens.feature_extract import label_set_from_rules
@@ -343,6 +344,35 @@ def test_detect_too_deep_ast_does_not_stop_the_batch(trained, corpus_dir, tmp_pa
     assert diagnostic["path"] == str(deep) and diagnostic["code"] == "SchemaViolationError"
     reports = [json.loads(line) for line in captured.out.strip().splitlines()]
     assert [r["contract"] for r in reports] == [str(valid)]
+
+
+def test_detect_600_level_ast_gives_one_report(trained, tmp_path, capsys):
+    deep = tmp_path / "deep600.ast.json"
+    deep.write_text(nested_ast_json(600))
+    code = main(["detect", "--model", str(trained["model"]), "--vocab", str(trained["vocab"]), str(deep)])
+    assert code in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    reports = [json.loads(line) for line in captured.out.strip().splitlines()]
+    assert [r["contract"] for r in reports] == [str(deep)]
+
+
+def test_detect_hashes_the_model_once_per_call(trained, corpus_dir, capsys, monkeypatch):
+    original = statelens.gcn_core.params_fingerprint
+    hashed = []
+
+    def counting(params):
+        hashed.append(params)
+        return original(params)
+
+    monkeypatch.setattr(statelens.gcn_core, "params_fingerprint", counting)
+    paths = [str(p) for p in sorted(corpus_dir.glob("*.ast.json"))[:3]]
+    argv = ["detect", "--model", str(trained["model"]), "--vocab", str(trained["vocab"])]
+    assert main([*argv, *paths]) in (0, 1)
+    reports = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+    assert [r["contract"] for r in reports] == paths
+    assert len(hashed) == 1
+    assert {r["model_fingerprint"] for r in reports} == {original(hashed[0])}
 
 
 def test_unexpected_exception_is_one_diagnostic_exit_two(tmp_path, capsys, monkeypatch):

@@ -261,6 +261,17 @@ def test_report_roundtrips_to_json():
     assert "verdict" in report.to_text()
 
 
+def test_report_takes_a_fingerprint_the_caller_computed():
+    rng = np.random.default_rng(15)
+    g = random_normalized_graph(rng, n=6, dim=4)
+    model = det.GcnModel(params=random_params(rng, dim=4, hidden=3))
+    given = det.build_report(model, g, contract="z", model_fingerprint=model.fingerprint())
+    hashed = det.build_report(model, g, contract="z")
+    given.timestamp = hashed.timestamp
+    assert given.to_json_dict() == hashed.to_json_dict()
+    assert det.build_report(model, g, contract="z", model_fingerprint="f" * 64).model_fingerprint == "f" * 64
+
+
 def test_report_caps_top_nodes_at_ten():
     rng = np.random.default_rng(14)
     g = random_normalized_graph(rng, n=30, dim=4)

@@ -10,6 +10,8 @@ from statelens.feature_extract import (
     DependencyCategory,
     EdgeTuple,
     EdgeType,
+    Rule,
+    RuleTable,
     categorize_node,
     default_rules,
     extract_edges,
@@ -104,6 +106,69 @@ def test_categorize_is_pure(node_type, attrs):
     first = categorize_node(_node(node_type, dict(attrs)))
     second = categorize_node(_node(node_type, dict(attrs)))
     assert first is second
+
+
+def test_rule_table_candidates_stop_at_first_rule_without_predicates():
+    table = RuleTable(parse_rules("Foo k=1 -> Control\nF* -> Data\nFoo -> Expression\nBar -> Function\n"))
+    assert [r.category for r in table.candidates("Foo")] == [DependencyCategory.CONTROL, DependencyCategory.DATA]
+    assert table.candidates("Baz") == ()
+    assert list(table) == list(table.rules)
+
+
+def test_default_rules_is_a_compiled_table_in_file_order():
+    table = default_rules()
+    assert isinstance(table, RuleTable)
+    assert [r.pattern for r in table][:3] == ["Identifier", "Identifier", "VariableDeclaration"]
+
+
+def test_categorize_accepts_a_plain_rule_list():
+    rules = parse_rules("Identifier ref_kind=event -> Declaration\n")
+    assert categorize_node(_node("Identifier"), rules, ref_kind="event") is DependencyCategory.DECLARATION
+
+
+_TYPE_CHARS = "ABC"
+_PATTERN_PIECES = ["A", "B", "C", "*", "?", "[AB]", "[!A]", "[B-C]"]
+_VALUES = ["x", "y", "variable", "function"]
+
+
+@st.composite
+def rule_tables(draw):
+    rules = []
+    for _ in range(draw(st.integers(0, 8))):
+        pattern = "".join(draw(st.lists(st.sampled_from(_PATTERN_PIECES), min_size=1, max_size=3)))
+        attrs = draw(
+            st.lists(st.tuples(st.sampled_from(["k", "ref_kind"]), st.sampled_from(_VALUES)), max_size=2)
+        )
+        rules.append(Rule(pattern=pattern, attrs=tuple(attrs), category=draw(st.sampled_from(DependencyCategory))))
+    return rules
+
+
+nodes_with_ref_kind = st.tuples(
+    st.text(_TYPE_CHARS, min_size=1, max_size=3),
+    # `ref_kind` may also be a literal attribute of the node
+    st.dictionaries(st.sampled_from(["k", "ref_kind", "other"]), st.sampled_from(_VALUES), max_size=3),
+    st.none() | st.sampled_from(_VALUES),
+)
+
+
+def _reference_category(rules, node_type, attributes, ref_kind):
+    """First match by `Rule.matches` over every rule in order."""
+    if ref_kind is not None:
+        attributes = {**attributes, "ref_kind": ref_kind}
+    for rule in rules:
+        if rule.matches(node_type, attributes):
+            return rule.category
+    return None
+
+
+@given(rules=rule_tables(), nodes=st.lists(nodes_with_ref_kind, min_size=1, max_size=12))
+@settings(max_examples=300)
+def test_compiled_table_matches_rule_by_rule_first_match(rules, nodes):
+    table = RuleTable(rules)  # one table for every node, so later nodes hit its per-type cache
+    for node_type, attributes, ref_kind in nodes:
+        expected = _reference_category(rules, node_type, attributes, ref_kind)
+        assert table.category(node_type, attributes, ref_kind) is expected
+        assert categorize_node(_node(node_type, attributes), table, ref_kind=ref_kind) is expected
 
 
 def test_tuples_empty_for_pragma_only():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from statelens import detector as det
+from statelens.ast_ingest import parse_ast_json
 from statelens.errors import EmptyCorpusError, EmptyGraphError, ShapeMismatchError
 from statelens.feature_extract import (
     DependencyCategory,
@@ -12,6 +13,7 @@ from statelens.feature_extract import (
     LabelSet,
     NodeTuple,
     extract_node_tuples,
+    label_set_from_rules,
 )
 from statelens.gcn_core import forward, loss_and_grads
 from statelens.graph_pipeline import (
@@ -35,6 +37,7 @@ from helpers import (
     brute_force_component,
     brute_force_normalize,
     dense_adjacency,
+    nested_ast_json,
     random_contract_graph,
     random_label_subset,
     random_params,
@@ -220,6 +223,16 @@ def test_optimize_identity_with_full_label_set():
     assert out.node_ids == graph.node_ids
     assert np.array_equal(dense_adjacency(out), dense_adjacency(graph))
     assert out.edges == graph.edges
+    assert out is graph  # nothing pruned, so nothing copied
+
+
+def test_600_level_ast_gives_601_node_graph():
+    """600 nested BinaryOperations and the Literal at the bottom are
+    categorized; the SourceUnit, contract and statement around them are not."""
+    tree = parse_ast_json(nested_ast_json(600))
+    graph = optimize_graph(build_contract_graph(tree), label_set_from_rules())
+    assert graph.n == 601
+    assert len(graph.pairs) == 600
 
 
 def test_optimize_empty_label_set():
