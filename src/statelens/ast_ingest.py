@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Iterator
 
 from .errors import (
@@ -193,6 +194,18 @@ def _build_nodes(data: dict, source_unit: str) -> tuple[dict[int, AstNode], dict
             parents[node_id] = parent_id
         stack += [(child, node_id) for child in reversed(child_objs)]
     return nodes, parents
+
+
+def read_document(path: str | Path) -> str:
+    """The text of a UTF-8 file. Undecodable bytes raise MalformedJsonError
+    naming the offset of the first one; OSError propagates."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedJsonError(
+            f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}", offset=exc.start
+        ) from None
 
 
 def parse_ast_json(document: str, source_unit: str = "<memory>") -> AstTree:

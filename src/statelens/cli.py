@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import detector as det
-from .ast_ingest import parse_ast_json
+from .ast_ingest import parse_ast_json, read_document
 from .corpus import LabeledContract, kfold_indices, load_corpus, split_items, synth_generate
 from .errors import (
     DegenerateCorpusError,
@@ -48,11 +48,13 @@ def _diagnostic(**fields) -> None:
 
 
 class _JsonLineFormatter(logging.Formatter):
-    """Renders a log record as one JSON object, like `_diagnostic` lines."""
+    """Renders a log record as one JSON object, like `_diagnostic` lines.
+    A record logged with `extra={"fields": {...}}` carries those fields too."""
 
     def format(self, record: logging.LogRecord) -> str:
         fields = {"level": record.levelname.lower(), "logger": record.name}
-        return json.dumps({**fields, "message": record.getMessage()})
+        extra = getattr(record, "fields", {})
+        return json.dumps({**fields, "message": record.getMessage(), **extra})
 
 
 def _configure_logging() -> None:
@@ -137,6 +139,14 @@ def _train_once(
     return model, history, vocab
 
 
+def _log_epochs(history: Sequence[det.EpochStats], **context) -> None:
+    """One INFO record per epoch: loss and held-out metrics (the training curve)."""
+    if not log.isEnabledFor(logging.INFO):
+        return
+    for stats in history:
+        log.info("epoch %d", stats.epoch, extra={"fields": {**context, **stats.to_json_dict()}})
+
+
 def cmd_train(args) -> int:
     config = TrainConfig(
         learning_rate=args.lr,
@@ -155,9 +165,11 @@ def cmd_train(args) -> int:
     try:
         if args.folds:
             fold_metrics = []
-            for train_idx, test_idx in kfold_indices(len(pruned), args.folds, config.seed):
+            folds = kfold_indices(len(pruned), args.folds, config.seed)
+            for fold, (train_idx, test_idx) in enumerate(folds, 1):
                 fold_pairs = ([pruned[i] for i in train_idx], [pruned[i] for i in test_idx])
                 _, history, _ = _train_once(pruned, config, args.dim, presplit_pairs=fold_pairs)
+                _log_epochs(history, fold=fold)
                 fold_metrics.append(history[-1].held_out)
             out = {
                 "folds": [m.to_json_dict() for m in fold_metrics],
@@ -167,6 +179,7 @@ def cmd_train(args) -> int:
             print(json.dumps(out, sort_keys=True))
             return 0
         model, history, vocab = _train_once(pruned, config, args.dim)
+        _log_epochs(history)
     except DegenerateCorpusError as exc:
         _diagnostic(code="degenerate-corpus", message=str(exc))
         return 3
@@ -190,6 +203,12 @@ def _load_model_and_vocab(args) -> tuple[det.GcnModel, Vocabulary] | None:
             message="model was trained against a different vocabulary file",
         )
         return None
+    if model.dim != vocab.dim:
+        _diagnostic(
+            code="shape-mismatch",
+            message=f"model expects {model.dim}-wide embeddings, vocabulary has {vocab.dim}",
+        )
+        return None
     return model, vocab
 
 
@@ -209,8 +228,7 @@ def cmd_detect(args) -> int:
     any_failure = False
     for path in args.paths:
         try:
-            text = Path(path).read_text(encoding="utf-8")
-            tree = parse_ast_json(text, source_unit=str(path))
+            tree = parse_ast_json(read_document(path), source_unit=str(path))
             graph = optimize_graph(build_contract_graph(tree, rules), label_set)
             normalized = normalize(embed_nodes(graph, vocab))
             report = det.build_report(
@@ -273,7 +291,7 @@ def cmd_inspect(args) -> int:
     failures = 0
     for path in args.paths:
         try:
-            tree = parse_ast_json(Path(path).read_text(encoding="utf-8"), source_unit=str(path))
+            tree = parse_ast_json(read_document(path), source_unit=str(path))
             raw = build_contract_graph(tree, rules)
             graph = optimize_graph(raw, label_set)
         except OSError as exc:

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence, TypeVar
 
-from .ast_ingest import AstTree, parse_ast_json
+from .ast_ingest import AstTree, parse_ast_json, read_document
 from .errors import (
     BadLabelError,
+    MalformedJsonError,
     MissingFileError,
     SchemaViolationError,
     TooSmallError,
@@ -40,15 +41,16 @@ def load_corpus(manifest_path: str | Path) -> list[LabeledContract]:
     """Read a JSON-lines manifest of {ast_path, label} records.
 
     ast_path is resolved relative to the manifest. Raises MissingFileError,
-    BadLabelError (naming the line), or SchemaViolationError for malformed
-    records; AST parse errors propagate with the record line attached.
+    BadLabelError (naming the line), SchemaViolationError for malformed
+    records, or MalformedJsonError (naming the line) for an AST file that
+    is not UTF-8; AST parse errors propagate naming the AST file.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise MissingFileError(f"manifest not found: {manifest_path}")
     base = manifest_path.parent
     contracts: list[LabeledContract] = []
-    for lineno, raw in enumerate(manifest_path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(read_document(manifest_path).splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -72,7 +74,13 @@ def load_corpus(manifest_path: str | Path) -> list[LabeledContract]:
             ast_path = base / ast_path
         if not ast_path.exists():
             raise MissingFileError(f"{manifest_path}:{lineno}: AST file not found: {ast_path}")
-        tree = parse_ast_json(ast_path.read_text(encoding="utf-8"), source_unit=str(ast_path))
+        try:
+            text = read_document(ast_path)
+        except MalformedJsonError as exc:
+            raise MalformedJsonError(
+                f"{manifest_path}:{lineno}: {exc}", offset=exc.offset
+            ) from None
+        tree = parse_ast_json(text, source_unit=str(ast_path))
         contracts.append(
             LabeledContract(path=str(ast_path), tree=tree, label=label, provenance="external")
         )

@@ -8,6 +8,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Sequence
 
+import numpy as np
+
 from . import gcn_core
 from .corpus import split_items
 from .errors import (
@@ -185,7 +187,11 @@ def train(
         train_graphs, test_graphs = split_items(list(corpus), labels, 0.9, config.seed)
 
     dim = int(train_graphs[0].features.shape[1])
+    # One parameter buffer and one gradient buffer for the whole run: every
+    # step writes its gradients into `grads` and updates `params` in place.
     params = init_params(dim, config.hidden_width, config.seed)
+    model = GcnModel(params=params, vocab_fingerprint=vocab_fingerprint)
+    grads = GcnParams.from_flat(np.empty_like(params.flat), params.dim, params.hidden)
     state = OptimizerState()
     rng = random.Random(config.seed)
     history: list[EpochStats] = []
@@ -199,18 +205,19 @@ def train(
         total_loss = 0.0
         for i in order:
             graph = train_graphs[i]
-            loss, grads = loss_and_grads(params, graph, graph.label, config.l2_penalty, sx=sx[i])
-            params, state = optimizer_step(state, params, grads, config)
+            loss, _ = loss_and_grads(
+                params, graph, graph.label, config.l2_penalty, sx=sx[i], out=grads
+            )
+            optimizer_step(state, params, grads, config)
             total_loss += loss
-        snapshot = GcnModel(params=params, vocab_fingerprint=vocab_fingerprint)
         history.append(
             EpochStats(
                 epoch=epoch,
                 train_loss=total_loss / len(train_graphs),
-                held_out=evaluate(snapshot, test_graphs),
+                held_out=evaluate(model, test_graphs),
             )
         )
-    return GcnModel(params=params, vocab_fingerprint=vocab_fingerprint), history
+    return model, history
 
 
 def localize(model: GcnModel, graph: NormalizedGraph, k: int = 5) -> list[tuple[int, float]]:

@@ -140,9 +140,31 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
-    exp = np.exp(shifted)
+    exp = np.exp(logits - logits.max())
     return exp / exp.sum()
+
+
+def _check_shapes(params: GcnParams, graph: NormalizedGraph) -> None:
+    s_hat, h0 = graph.s_hat, graph.features
+    if s_hat.ndim != 2 or s_hat.shape[0] != s_hat.shape[1]:
+        raise ShapeMismatchError(f"s_hat must be square, got {s_hat.shape}")
+    if h0.ndim != 2 or h0.shape[0] != s_hat.shape[0]:
+        raise ShapeMismatchError(f"s_hat {s_hat.shape} does not match features {h0.shape}")
+    if h0.shape[1] != params.dim:
+        raise ShapeMismatchError(
+            f"graph features have width {h0.shape[1]}, model expects {params.dim}"
+        )
+
+
+def _propagate(params: GcnParams, s_hat, sh0: np.ndarray):
+    """The forward computation from S @ X on: (h1, S @ h1, h2, pooled,
+    logits, probs). `forward` and `loss_and_grads` both run exactly this."""
+    h1 = relu(sh0 @ params.w1)
+    sh1 = s_hat @ h1
+    h2 = relu(sh1 @ params.w2)
+    pooled = np.add.reduce(h2, axis=0) / h2.shape[0]  # the column mean
+    logits = pooled @ params.w_out + params.b_out
+    return h1, sh1, h2, pooled, logits, softmax(logits)
 
 
 def forward(
@@ -154,22 +176,10 @@ def forward(
     table is never trained, so a training loop can compute it once per graph
     rather than once per step; passing it changes no output bit.
     """
+    _check_shapes(params, graph)
     s_hat, h0 = graph.s_hat, graph.features
-    if s_hat.ndim != 2 or s_hat.shape[0] != s_hat.shape[1]:
-        raise ShapeMismatchError(f"s_hat must be square, got {s_hat.shape}")
-    if h0.ndim != 2 or h0.shape[0] != s_hat.shape[0]:
-        raise ShapeMismatchError(f"s_hat {s_hat.shape} does not match features {h0.shape}")
-    if h0.shape[1] != params.dim:
-        raise ShapeMismatchError(
-            f"graph features have width {h0.shape[1]}, model expects {params.dim}"
-        )
     sh0 = s_hat @ h0 if sx is None else sx
-    h1 = relu(sh0 @ params.w1)
-    sh1 = s_hat @ h1
-    h2 = relu(sh1 @ params.w2)
-    pooled = h2.mean(axis=0)
-    logits = pooled @ params.w_out + params.b_out
-    probs = softmax(logits)
+    h1, sh1, h2, pooled, logits, probs = _propagate(params, s_hat, sh0)
     return ForwardTrace(
         h0=h0,
         sh0=sh0,
@@ -196,63 +206,89 @@ def loss_and_grads(
     label: str,
     l2_penalty: float = 0.0,
     sx: np.ndarray | None = None,
+    out: GcnParams | None = None,
 ) -> tuple[float, GcnParams]:
     """Cross-entropy plus (l2/2)*||params||^2, with exact reverse-mode grads.
 
-    `sx` is the optional precomputed S @ X that `forward` takes.
+    `sx` is the optional precomputed S @ X that `forward` takes. The
+    gradients are written into `out` (every element, so a buffer reused
+    across graphs carries nothing over) and `out` is returned; without it a
+    fresh `GcnParams` is allocated.
     """
-    trace = forward(params, graph, sx)
+    _check_shapes(params, graph)
     target = label_index(label)
-    probs = trace.probs
+    s_hat = graph.s_hat
+    sh0 = s_hat @ graph.features if sx is None else sx
+    h1, sh1, h2, pooled, _, probs = _propagate(params, s_hat, sh0)
     loss = -float(np.log(probs[target])) + 0.5 * l2_penalty * params.norm_sq()
+    if out is None:
+        out = GcnParams.from_flat(np.empty_like(params.flat), params.dim, params.hidden)
 
-    n = trace.h0.shape[0]
-
-    d_logits = probs.copy()
+    d_logits = out.b_out
+    d_logits[:] = probs
     d_logits[target] -= 1.0
-    d_w_out = np.outer(trace.pooled, d_logits)
+    np.multiply(pooled[:, None], d_logits, out=out.w_out)  # outer(pooled, d_logits)
     d_pooled = params.w_out @ d_logits
 
-    d_z2 = (d_pooled / n) * (trace.h2 > 0)  # mean-pool spreads d_pooled over the n rows
-    d_w2 = trace.sh1.T @ d_z2
-    d_h1 = graph.s_hat @ (d_z2 @ params.w2.T)  # S is symmetric, so S.T @ == S @
+    d_z2 = (d_pooled / h2.shape[0]) * (h2 > 0)  # mean-pool spreads d_pooled over the n rows
+    np.matmul(sh1.T, d_z2, out=out.w2)
+    d_h1 = s_hat @ (d_z2 @ params.w2.T)  # S is symmetric, so S.T @ == S @
 
-    d_z1 = d_h1 * (trace.h1 > 0)
-    d_w1 = trace.sh0.T @ d_z1
+    d_z1 = d_h1 * (h1 > 0)
+    np.matmul(sh0.T, d_z1, out=out.w1)
 
-    grads = np.concatenate([d_w1.ravel(), d_w2.ravel(), d_w_out.ravel(), d_logits])
     if l2_penalty:
-        grads = grads + l2_penalty * params.flat
-    return loss, GcnParams.from_flat(grads, params.dim, params.hidden)
+        out.flat += l2_penalty * params.flat
+    return loss, out
 
 
 @dataclass
 class OptimizerState:
+    """Step count, Adam moments and two work vectors, each laid out like
+    `GcnParams.flat` and allocated on the first step, then reused."""
+
     step: int = 0
-    m: np.ndarray | None = None  # first moment (adam), laid out like GcnParams.flat
+    m: np.ndarray | None = None  # first moment (adam)
     v: np.ndarray | None = None  # second moment (adam)
+    scratch: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def optimizer_step(
     state: OptimizerState, params: GcnParams, grads: GcnParams, config: TrainConfig
-) -> tuple[GcnParams, OptimizerState]:
-    """One SGD or bias-corrected Adam update; returns fresh params and state."""
+) -> None:
+    """One SGD or bias-corrected Adam update of `params.flat` and `state`,
+    in place. Each element sees the operations, in the order, of
+    p - lr * g (SGD) or
+    m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    p - lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps) (Adam)."""
     lr = config.learning_rate
     p, g = params.flat, grads.flat
+    if state.scratch is None:
+        state.scratch = (np.empty_like(p), np.empty_like(p))
+    step, denom = state.scratch
+    state.step += 1
     if config.optimizer == "sgd":
-        updated = p - lr * g
-        next_state = OptimizerState(step=state.step + 1)
-        return GcnParams.from_flat(updated, params.dim, params.hidden), next_state
+        np.multiply(g, lr, out=step)
+        p -= step
+        return
 
-    t = state.step + 1
-    m_prev = state.m if state.m is not None else np.zeros_like(p)
-    v_prev = state.v if state.v is not None else np.zeros_like(p)
-    m = config.beta1 * m_prev + (1 - config.beta1) * g
-    v = config.beta2 * v_prev + (1 - config.beta2) * g * g
-    bias1 = 1.0 - config.beta1**t
-    bias2 = 1.0 - config.beta2**t
-    updated = p - lr * (m / bias1) / (np.sqrt(v / bias2) + config.eps)
-    return GcnParams.from_flat(updated, params.dim, params.hidden), OptimizerState(step=t, m=m, v=v)
+    if state.m is None:
+        state.m, state.v = np.zeros_like(p), np.zeros_like(p)
+    m, v, t = state.m, state.v, state.step
+    m *= config.beta1
+    np.multiply(g, 1 - config.beta1, out=step)
+    m += step
+    v *= config.beta2
+    np.multiply(g, 1 - config.beta2, out=step)
+    step *= g
+    v += step
+    np.divide(m, 1.0 - config.beta1**t, out=step)
+    step *= lr
+    np.divide(v, 1.0 - config.beta2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += config.eps
+    step /= denom
+    p -= step
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,25 @@ walks), so tests never check an implementation against itself.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
+from statelens.detector import EpochStats, GcnModel, evaluate
 from statelens.feature_extract import (
     EdgeTuple,
     EdgeType,
     NodeTuple,
     label_set_from_rules,
 )
-from statelens.gcn_core import GcnParams, loss_and_grads
+from statelens.gcn_core import (
+    CLASSES,
+    GcnParams,
+    OptimizerState,
+    TrainConfig,
+    init_params,
+    loss_and_grads,
+)
 from statelens.graph_pipeline import ContractGraph, NormalizedGraph
 
 LABEL_PAIRS = sorted(label_set_from_rules().entries, key=lambda p: (p[0], p[1].value))
@@ -147,6 +157,107 @@ def max_relative_grad_error(analytic: GcnParams, numeric: GcnParams) -> float:
     assert a.shape == b.shape
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
     return float(np.max(np.abs(a - b) / denom))
+
+
+# ---------------------------------------------------------------------------
+# Allocating reference for training: every step builds fresh arrays, in the
+# evaluation order the in-place gcn_core code must reproduce bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_forward(
+    params: GcnParams, graph: NormalizedGraph, sx: np.ndarray | None = None
+) -> dict[str, np.ndarray]:
+    """The forward pass through numpy's `mean` and `np.max`."""
+    s_hat = graph.s_hat
+    sh0 = s_hat @ graph.features if sx is None else sx
+    h1 = np.maximum(sh0 @ params.w1, 0.0)
+    sh1 = s_hat @ h1
+    h2 = np.maximum(sh1 @ params.w2, 0.0)
+    pooled = h2.mean(axis=0)
+    logits = pooled @ params.w_out + params.b_out
+    exp = np.exp(logits - np.max(logits))
+    probs = exp / exp.sum()
+    return {
+        "sh0": sh0, "h1": h1, "sh1": sh1, "h2": h2, "pooled": pooled, "logits": logits, "probs": probs
+    }
+
+
+def reference_loss_and_grads(
+    params: GcnParams,
+    graph: NormalizedGraph,
+    label: str,
+    l2_penalty: float = 0.0,
+    sx: np.ndarray | None = None,
+) -> tuple[float, GcnParams]:
+    """Loss and a freshly concatenated gradient vector."""
+    trace = reference_forward(params, graph, sx)
+    target = CLASSES.index(label)
+    probs = trace["probs"]
+    loss = -float(np.log(probs[target])) + 0.5 * l2_penalty * float(params.flat @ params.flat)
+    n = graph.features.shape[0]
+
+    d_logits = probs.copy()
+    d_logits[target] -= 1.0
+    d_w_out = np.outer(trace["pooled"], d_logits)
+    d_pooled = params.w_out @ d_logits
+    d_z2 = (d_pooled / n) * (trace["h2"] > 0)
+    d_w2 = trace["sh1"].T @ d_z2
+    d_h1 = graph.s_hat @ (d_z2 @ params.w2.T)
+    d_z1 = d_h1 * (trace["h1"] > 0)
+    d_w1 = trace["sh0"].T @ d_z1
+
+    grads = np.concatenate([d_w1.ravel(), d_w2.ravel(), d_w_out.ravel(), d_logits])
+    if l2_penalty:
+        grads = grads + l2_penalty * params.flat
+    return loss, GcnParams.from_flat(grads, params.dim, params.hidden)
+
+
+def reference_optimizer_step(
+    state: OptimizerState, params: GcnParams, grads: GcnParams, config: TrainConfig
+) -> tuple[GcnParams, OptimizerState]:
+    """Functional SGD / bias-corrected Adam: fresh params and fresh state."""
+    lr = config.learning_rate
+    p, g = params.flat, grads.flat
+    if config.optimizer == "sgd":
+        updated = p - lr * g
+        next_state = OptimizerState(step=state.step + 1)
+        return GcnParams.from_flat(updated, params.dim, params.hidden), next_state
+    t = state.step + 1
+    m_prev = state.m if state.m is not None else np.zeros_like(p)
+    v_prev = state.v if state.v is not None else np.zeros_like(p)
+    m = config.beta1 * m_prev + (1 - config.beta1) * g
+    v = config.beta2 * v_prev + (1 - config.beta2) * g * g
+    bias1 = 1.0 - config.beta1**t
+    bias2 = 1.0 - config.beta2**t
+    updated = p - lr * (m / bias1) / (np.sqrt(v / bias2) + config.eps)
+    return GcnParams.from_flat(updated, params.dim, params.hidden), OptimizerState(step=t, m=m, v=v)
+
+
+def reference_train(
+    train_graphs: list[NormalizedGraph], test_graphs: list[NormalizedGraph], config: TrainConfig
+) -> tuple[GcnParams, list[EpochStats]]:
+    """`detector.train` on a given split, one fresh params/state per step."""
+    params = init_params(int(train_graphs[0].features.shape[1]), config.hidden_width, config.seed)
+    state = OptimizerState()
+    rng = random.Random(config.seed)
+    sx = [graph.s_hat @ graph.features for graph in train_graphs]
+    history = []
+    for epoch in range(1, config.epochs + 1):
+        order = list(range(len(train_graphs)))
+        rng.shuffle(order)
+        total_loss = 0.0
+        for i in order:
+            graph = train_graphs[i]
+            loss, grads = reference_loss_and_grads(
+                params, graph, graph.label, config.l2_penalty, sx[i]
+            )
+            params, state = reference_optimizer_step(state, params, grads, config)
+            total_loss += loss
+        held_out = evaluate(GcnModel(params=params), test_graphs)
+        train_loss = total_loss / len(train_graphs)
+        history.append(EpochStats(epoch=epoch, train_loss=train_loss, held_out=held_out))
+    return params, history
 
 
 def brute_force_confusion(verdicts: list[str], labels: list[str]) -> tuple[int, int, int, int]:

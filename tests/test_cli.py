@@ -535,3 +535,116 @@ def test_log_records_are_json_lines(corpus_dir, tmp_path, capsys, monkeypatch):
     assert len(written) == 1
     assert written[0]["level"] == "info" and written[0]["logger"] == "statelens"
     assert str(model) in written[0]["message"] and str(vocab) in written[0]["message"]
+
+
+def _non_utf8_file(tmp_path) -> Path:
+    bad = tmp_path / "bad.ast.json"
+    bad.write_bytes(b'\xff\xfe{"id": 1, "nodeType": "SourceUnit"}')
+    return bad
+
+
+def test_detect_non_utf8_file_does_not_stop_the_batch(trained, corpus_dir, tmp_path, capsys):
+    bad, valid = _non_utf8_file(tmp_path), corpus_dir / "pair0000_clean.ast.json"
+    argv = ["detect", "--model", str(trained["model"]), "--vocab", str(trained["vocab"])]
+    assert main([*argv, str(bad), str(valid)]) == 2
+    captured = capsys.readouterr()
+    diagnostic = _single_error_line(captured.err)
+    assert diagnostic["path"] == str(bad) and diagnostic["code"] == "MalformedJsonError"
+    assert "byte 0" in diagnostic["message"]
+    reports = [json.loads(line) for line in captured.out.strip().splitlines()]
+    assert [r["contract"] for r in reports] == [str(valid)]
+
+
+def test_inspect_non_utf8_file_does_not_stop_the_batch(corpus_dir, tmp_path, capsys):
+    bad, valid = _non_utf8_file(tmp_path), corpus_dir / "pair0000_clean.ast.json"
+    assert main(["inspect", str(bad), str(valid)]) == 2
+    captured = capsys.readouterr()
+    diagnostic = _single_error_line(captured.err)
+    assert diagnostic["path"] == str(bad) and diagnostic["code"] == "MalformedJsonError"
+    assert [json.loads(line)["path"] for line in captured.out.strip().splitlines()] == [str(valid)]
+
+
+def test_train_non_utf8_ast_names_the_manifest_line(corpus_dir, tmp_path, capsys):
+    bad = _non_utf8_file(tmp_path)
+    manifest = tmp_path / "manifest.jsonl"
+    records = [
+        {"ast_path": str(corpus_dir / "pair0000_clean.ast.json"), "label": "clean"},
+        {"ast_path": str(bad), "label": "defective"},
+    ]
+    manifest.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    argv = ["train", "--manifest", str(manifest), "--model", str(tmp_path / "m.sgm")]
+    assert main([*argv, "--vocab", str(tmp_path / "v.json"), "--epochs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diagnostic = _single_error_line(captured.err)
+    assert diagnostic["code"] == "MalformedJsonError"
+    assert f"{manifest}:2:" in diagnostic["message"] and "byte 0" in diagnostic["message"]
+
+
+@pytest.mark.parametrize("command", ["detect", "eval"])
+def test_model_and_vocab_width_mismatch_caught_at_load(
+    trained, corpus_dir, tmp_path, capsys, monkeypatch, command
+):
+    narrow = tmp_path / "dim32.sgm"
+    statelens.gcn_core.save_model(narrow, statelens.gcn_core.init_params(32, 8, seed=0))
+
+    def never(*args, **kwargs):
+        raise AssertionError("no input may be read after a width mismatch")
+
+    monkeypatch.setattr(statelens.cli, "parse_ast_json", never)
+    monkeypatch.setattr(statelens.cli, "load_corpus", never)
+    argv = [command, "--model", str(narrow), "--vocab", str(trained["vocab"])]
+    if command == "detect":
+        argv += [str(p) for p in sorted(corpus_dir.glob("*.ast.json"))[:3]]
+    else:
+        argv += ["--manifest", str(corpus_dir / "manifest.jsonl")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diagnostic = _single_error_line(captured.err)
+    assert diagnostic["code"] == "shape-mismatch"
+    assert "32" in diagnostic["message"] and "64" in diagnostic["message"]
+
+
+def _train_argv(corpus_dir, tmp_path, *extra) -> list[str]:
+    manifest = str(corpus_dir / "manifest.jsonl")
+    model, vocab = str(tmp_path / "m.sgm"), str(tmp_path / "v.json")
+    return ["train", "--manifest", manifest, "--model", model, "--vocab", vocab, *extra]
+
+
+def _epoch_records(err: str) -> list[dict]:
+    records = [json.loads(line) for line in err.strip().splitlines()]
+    return [r for r in records if "epoch" in r]
+
+
+def test_train_logs_one_record_per_epoch(corpus_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("STATELENS_LOG", "info")
+    assert main(_train_argv(corpus_dir, tmp_path, "--epochs", "3")) == 0
+    captured = capsys.readouterr()
+    epochs = _epoch_records(captured.err)
+    assert [r["epoch"] for r in epochs] == [1, 2, 3]
+    assert all(r["level"] == "info" and r["logger"] == "statelens" for r in epochs)
+    assert all(isinstance(r["train_loss"], float) for r in epochs)
+    assert epochs[-1]["held_out"] == json.loads(captured.out.strip().splitlines()[-1])
+
+
+def test_train_logs_epochs_per_fold(corpus_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("STATELENS_LOG", "info")
+    assert main(_train_argv(corpus_dir, tmp_path, "--epochs", "2", "--folds", "3")) == 0
+    captured = capsys.readouterr()
+    epochs = _epoch_records(captured.err)
+    assert [(r["fold"], r["epoch"]) for r in epochs] == [(f, e) for f in (1, 2, 3) for e in (1, 2)]
+    folds = json.loads(captured.out.strip().splitlines()[-1])["folds"]
+    assert [r["held_out"] for r in epochs if r["epoch"] == 2] == folds
+
+
+def test_train_logs_no_epochs_at_the_default_level(corpus_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("STATELENS_LOG", raising=False)
+    built = []
+    original = statelens.cli.det.EpochStats.to_json_dict
+    monkeypatch.setattr(
+        statelens.cli.det.EpochStats, "to_json_dict", lambda self: built.append(self) or original(self)
+    )
+    assert main(_train_argv(corpus_dir, tmp_path, "--epochs", "3")) == 0
+    assert capsys.readouterr().err == ""
+    assert built == []

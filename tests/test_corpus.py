@@ -13,7 +13,13 @@ from statelens.corpus import (
     split_items,
     synth_generate,
 )
-from statelens.errors import BadLabelError, MissingFileError, SchemaViolationError, TooSmallError
+from statelens.errors import (
+    BadLabelError,
+    MalformedJsonError,
+    MissingFileError,
+    SchemaViolationError,
+    TooSmallError,
+)
 
 from helpers import is_defective_shaped, json_shape
 
@@ -246,3 +252,15 @@ def test_generated_names_are_randomized():
                 if node.attributes.get("stateMutability") == "nonpayable":
                     target_names.add(node.name)
     assert len(target_names) > 1
+
+
+def test_load_corpus_non_utf8_ast_names_the_manifest_line(tmp_path):
+    good = synth_generate(1, seed=3, out_dir=tmp_path / "good")[0]
+    bad = tmp_path / "bad.ast.json"
+    bad.write_bytes(b'{"id": 1, "nodeType": "SourceUnit", "name": "\xc3\x28"}')
+    manifest = tmp_path / "manifest.jsonl"
+    records = [{"ast_path": good.path, "label": good.label}, {"ast_path": str(bad), "label": "clean"}]
+    manifest.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    with pytest.raises(MalformedJsonError, match=rf"manifest\.jsonl:2: .*byte 45") as info:
+        load_corpus(manifest)
+    assert info.value.offset == 45

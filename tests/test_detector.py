@@ -4,15 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statelens import detector as det
+from statelens.corpus import split_items, synth_generate
 from statelens.errors import (
     BadLabelError,
     DegenerateCorpusError,
     EmptyCorpusError,
     EmptyTestSetError,
 )
+from statelens.feature_extract import extract_node_tuples
 from statelens.gcn_core import GcnParams, TrainConfig, params_to_bytes
+from statelens.graph_pipeline import build_vocabulary, process_contract
 
-from helpers import brute_force_confusion, random_normalized_graph, random_params
+from helpers import brute_force_confusion, random_normalized_graph, random_params, reference_train
 
 
 def _zero_model(dim=4, hidden=3) -> det.GcnModel:
@@ -174,6 +177,19 @@ def test_train_deterministic():
     model_b, history_b = det.train(corpus, config)
     assert params_to_bytes(model_a.params) == params_to_bytes(model_b.params)
     assert [h.to_json_dict() for h in history_a] == [h.to_json_dict() for h in history_b]
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+def test_train_equals_allocating_reference_steps(optimizer):
+    contracts = synth_generate(10, seed=5)
+    vocab = build_vocabulary([extract_node_tuples(c.tree) for c in contracts], dim=16, seed=5)
+    corpus = [process_contract(c.tree, vocab, label=c.label) for c in contracts]
+    config = TrainConfig(epochs=5, seed=5, optimizer=optimizer, learning_rate=1e-2)
+    model, history = det.train(corpus, config)
+    train_side, test_side = split_items(corpus, [g.label for g in corpus], 0.9, config.seed)
+    ref_params, ref_history = reference_train(train_side, test_side, config)
+    assert params_to_bytes(model.params) == params_to_bytes(ref_params)
+    assert history == ref_history
 
 
 def test_train_single_class_degenerate():

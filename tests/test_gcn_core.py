@@ -24,6 +24,9 @@ from helpers import (
     max_relative_grad_error,
     random_normalized_graph,
     random_params,
+    reference_forward,
+    reference_loss_and_grads,
+    reference_optimizer_step,
 )
 
 
@@ -228,7 +231,8 @@ def test_zero_grads_leave_params_unchanged():
     zero = _zero_params(3, 2)
     for optimizer in ("sgd", "adam"):
         config = TrainConfig(optimizer=optimizer, learning_rate=0.1, epochs=1)
-        updated, _ = optimizer_step(OptimizerState(), params, zero, config)
+        updated = GcnParams.from_flat(params.flat.copy(), params.dim, params.hidden)
+        optimizer_step(OptimizerState(), updated, zero, config)
         for name in NAMES:
             assert np.array_equal(getattr(updated, name), getattr(params, name))
 
@@ -241,8 +245,9 @@ def test_sgd_scalar_step():
         w1=np.array([[1.0]]), w2=np.zeros((1, 1)), w_out=np.zeros((1, 2)), b_out=np.zeros(2)
     )
     config = TrainConfig(optimizer="sgd", learning_rate=0.1, epochs=1)
-    updated, state = optimizer_step(OptimizerState(), params, grads, config)
-    assert updated.w1.tolist() == [[0.9]]
+    state = OptimizerState()
+    optimizer_step(state, params, grads, config)
+    assert params.w1.tolist() == [[0.9]]
     assert state.step == 1
 
 
@@ -251,7 +256,9 @@ def test_adam_first_step_magnitude_and_sign():
     params = random_params(rng, dim=2, hidden=2)
     grads = random_params(rng, dim=2, hidden=2)
     config = TrainConfig(optimizer="adam", learning_rate=1e-3, epochs=1)
-    updated, state = optimizer_step(OptimizerState(), params, grads, config)
+    updated = GcnParams.from_flat(params.flat.copy(), params.dim, params.hidden)
+    state = OptimizerState()
+    optimizer_step(state, updated, grads, config)
     for name in NAMES:
         g = getattr(grads, name)
         delta = getattr(updated, name) - getattr(params, name)
@@ -269,7 +276,7 @@ def test_adam_state_threading():
     config = TrainConfig(optimizer="adam", learning_rate=1e-2, epochs=1)
     state = OptimizerState()
     for expected_step in (1, 2, 3):
-        params, state = optimizer_step(state, params, grads, config)
+        optimizer_step(state, params, grads, config)
         assert state.step == expected_step
     assert np.all(np.isfinite(params.flat))
 
@@ -291,7 +298,7 @@ def test_monotone_loss_on_separable_pair():
     for step in range(10):
         graph = (defective, clean)[step % 2]
         _, grads = loss_and_grads(params, graph, graph.label)
-        params, state = optimizer_step(state, params, grads, config)
+        optimizer_step(state, params, grads, config)
         current = total_loss(params)
         assert current < previous
         previous = current
@@ -331,7 +338,7 @@ def test_flat_steps_equal_per_array_reference_bitwise(optimizer):
     state = OptimizerState()
     for graph in graphs:
         _, grads = loss_and_grads(params, graph, graph.label, config.l2_penalty)
-        params, state = optimizer_step(state, params, grads, config)
+        optimizer_step(state, params, grads, config)
     assert state.step == 3
     for name in NAMES:
         assert np.array_equal(getattr(params, name), expected[name]), name
@@ -348,6 +355,73 @@ def test_precomputed_sx_gives_bitwise_equal_gradients():
         loss_sx, grads_sx = loss_and_grads(params, g, label, 5e-4, sx=g.s_hat @ g.features)
         assert loss_sx == loss
         assert np.array_equal(grads_sx.flat, grads.flat)
+
+
+def test_forward_equals_allocating_reference_bitwise():
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 5, 11):
+        g = random_normalized_graph(rng, n=n, dim=6)
+        params = random_params(rng, dim=6, hidden=4)
+        trace = forward(params, g)
+        expected = reference_forward(params, g)
+        for name, arr in expected.items():
+            assert np.array_equal(getattr(trace, name), arr), name
+        assert trace.probability == float(expected["probs"][1])
+
+
+@pytest.mark.parametrize("l2", [0.0, 5e-4])
+def test_gradients_equal_allocating_reference_bitwise(l2):
+    rng = np.random.default_rng(24)
+    for case in range(8):
+        g = random_normalized_graph(rng, n=int(rng.integers(1, 12)), dim=6)
+        params = random_params(rng, dim=6, hidden=4)
+        label = ("clean", "defective")[case % 2]
+        loss, grads = loss_and_grads(params, g, label, l2)
+        ref_loss, ref_grads = reference_loss_and_grads(params, g, label, l2)
+        assert loss == ref_loss
+        assert grads.flat.tobytes() == ref_grads.flat.tobytes()
+
+
+def test_out_buffer_reused_across_graphs_carries_nothing_over():
+    rng = np.random.default_rng(25)
+    big = random_normalized_graph(rng, n=9, dim=5)
+    small = random_normalized_graph(rng, n=2, dim=5)
+    params = random_params(rng, dim=5, hidden=3)
+    out = GcnParams.from_flat(np.full(params.flat.size, np.nan), params.dim, params.hidden)
+    for graph, label in ((big, "defective"), (small, "clean"), (big, "clean")):
+        loss, grads = loss_and_grads(params, graph, label, 5e-4, out=out)
+        ref_loss, ref_grads = reference_loss_and_grads(params, graph, label, 5e-4)
+        assert grads is out
+        assert loss == ref_loss
+        assert out.flat.tobytes() == ref_grads.flat.tobytes()
+
+
+@pytest.mark.parametrize("l2", [0.0, 5e-4])
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_in_place_steps_equal_allocating_reference_bytes(optimizer, l2):
+    rng = np.random.default_rng(26)
+    graphs = [
+        random_normalized_graph(rng, n=int(rng.integers(1, 10)), dim=5, label=("clean", "defective")[k % 2])
+        for k in range(12)
+    ]
+    config = TrainConfig(optimizer=optimizer, learning_rate=0.05, l2_penalty=l2, epochs=1)
+    params = random_params(rng, dim=5, hidden=3)
+    ref_params = GcnParams.from_flat(params.flat.copy(), params.dim, params.hidden)
+    buffer = params.flat
+    grads = GcnParams.from_flat(np.empty_like(buffer), params.dim, params.hidden)
+    state, ref_state = OptimizerState(), OptimizerState()
+    for graph in graphs:
+        loss, _ = loss_and_grads(params, graph, graph.label, l2, out=grads)
+        optimizer_step(state, params, grads, config)
+        ref_loss, ref_grads = reference_loss_and_grads(ref_params, graph, graph.label, l2)
+        ref_params, ref_state = reference_optimizer_step(ref_state, ref_params, ref_grads, config)
+        assert loss == ref_loss
+        assert params.flat.tobytes() == ref_params.flat.tobytes()
+    assert params.flat is buffer  # updated in place, never replaced
+    assert state.step == ref_state.step == len(graphs)
+    if optimizer == "adam":
+        assert state.m.tobytes() == ref_state.m.tobytes()
+        assert state.v.tobytes() == ref_state.v.tobytes()
 
 
 # ---------------------------------------------------------------------------
