@@ -6,16 +6,15 @@ normalized adjacency (dense on small graphs, sparse on large ones) ->
 two-layer GCN with a binary readout.
 """
 
-from .ast_ingest import AstNode, AstTree, parse_ast_json, span_to_source, validate_tree
-from .corpus import LabeledContract, load_corpus, split, synth_generate
-from .detector import DetectionReport, GcnModel, Metrics, evaluate, localize, predict, train
+from .ast_ingest import AstNode, AstTree, parse_ast_json, validate_tree
+from .corpus import LabeledContract, load_corpus, split_items, synth_generate
+from .detector import DetectionReport, GcnModel, Metrics, evaluate, predict, train
 from .feature_extract import (
     DependencyCategory,
     EdgeTuple,
     EdgeType,
     LabelSet,
     NodeTuple,
-    categorize_node,
     extract_edges,
     extract_node_tuples,
 )
@@ -29,7 +28,6 @@ from .graph_pipeline import (
     embed_nodes,
     normalize,
     optimize_graph,
-    process_contract,
 )
 
 __version__ = "0.1.0"

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
-from .errors import (
-    EmptyDocumentError,
-    MalformedJsonError,
-    OutOfBoundsError,
-    SchemaViolationError,
-    UnknownNodeError,
-)
+from .errors import EmptyDocumentError, MalformedJsonError, SchemaViolationError
 
 # Keys handled structurally rather than stored as attributes.
 _RESERVED_KEYS = frozenset(("id", "nodeType", "name", "src"))
@@ -44,7 +38,6 @@ class AstTree:
     root_id: int
     nodes: dict[int, AstNode]
     source_unit: str = "<memory>"
-    compiler_version: str = ""
     # child id -> parent id for every non-root node; derived from `children`
     # when not given (the parser records it as it builds the tree)
     parents: dict[int, int] | None = None
@@ -57,12 +50,6 @@ class AstTree:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def node(self, node_id: int) -> AstNode:
-        try:
-            return self.nodes[node_id]
-        except KeyError:
-            raise UnknownNodeError(f"no node with id {node_id}") from None
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -71,9 +58,6 @@ class Diagnostic:
     code: str
     node_id: int | None
     message: str
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {"code": self.code, "node_id": self.node_id, "message": self.message}
 
 
 def _format_scalar(value: Any) -> str:
@@ -235,14 +219,7 @@ def parse_ast_json(document: str, source_unit: str = "<memory>") -> AstTree:
         nodes, parents = _build_nodes(data, source_unit)
     except RecursionError:  # attribute values (not nodes) nested past the limit
         raise SchemaViolationError(f"{source_unit}: AST nested too deeply to parse") from None
-    compiler_version = data.get("compilerVersion", "")
-    return AstTree(
-        root_id=data["id"],
-        nodes=nodes,
-        source_unit=source_unit,
-        compiler_version=compiler_version if isinstance(compiler_version, str) else "",
-        parents=parents,
-    )
+    return AstTree(root_id=data["id"], nodes=nodes, source_unit=source_unit, parents=parents)
 
 
 def subtree_preorder(tree: AstTree, node_id: int) -> Iterator[AstNode]:
@@ -309,34 +286,3 @@ def validate_tree(tree: AstTree) -> list[Diagnostic]:
             diags.append(Diagnostic("negative-span", node.id, f"span {node.src_span}"))
 
     return diags
-
-
-def span_to_source(tree: AstTree, node_id: int, source_text: str | bytes) -> str:
-    """Return the exact byte slice the node's src span addresses."""
-    node = tree.node(node_id)
-    raw = source_text.encode("utf-8") if isinstance(source_text, str) else source_text
-    offset, length, _ = node.src_span
-    if offset + length > len(raw):
-        raise OutOfBoundsError(
-            f"span ({offset}, {length}) exceeds {len(raw)}-byte source of {tree.source_unit}"
-        )
-    return raw[offset : offset + length].decode("utf-8", errors="replace")
-
-
-def tree_to_json(tree: AstTree, indent: int | None = None) -> str:
-    """Serialize back to the compact schema; reparsing yields an isomorphic tree."""
-
-    def encode(node_id: int) -> dict[str, Any]:
-        node = tree.node(node_id)
-        obj: dict[str, Any] = {"id": node.id, "nodeType": node.node_type}
-        if node.name is not None:
-            obj["name"] = node.name
-        obj["src"] = ":".join(str(p) for p in node.src_span)
-        for key, value in node.attributes.items():
-            if key not in _RESERVED_KEYS and key != "nodes":
-                obj[key] = value
-        if node.children:
-            obj["nodes"] = [encode(child) for child in node.children]
-        return obj
-
-    return json.dumps(encode(tree.root_id), indent=indent)

@@ -78,13 +78,11 @@ def _load_rule_table(path: str | None) -> RuleTable:
     return default_rules() if path is None else RuleTable(load_rules(path))
 
 
-def _prune_contracts(
-    contracts: Sequence[LabeledContract], rules
-) -> list[tuple[LabeledContract, ContractGraph]]:
-    """Build and prune one graph per contract; empty graphs are skipped with
-    a diagnostic rather than failing the whole run."""
+def _prune_contracts(contracts: Sequence[LabeledContract], rules) -> list[ContractGraph]:
+    """Build and prune one labeled graph per contract; empty graphs are
+    skipped with a diagnostic rather than failing the whole run."""
     label_set = label_set_from_rules(rules)
-    kept: list[tuple[LabeledContract, ContractGraph]] = []
+    kept: list[ContractGraph] = []
     for contract in contracts:
         try:
             graph = optimize_graph(build_contract_graph(contract.tree, rules), label_set)
@@ -92,7 +90,7 @@ def _prune_contracts(
             _diagnostic(path=contract.path, code="empty-graph", message=str(exc))
             continue
         graph.label = contract.label
-        kept.append((contract, graph))
+        kept.append(graph)
     return kept
 
 
@@ -108,33 +106,16 @@ def cmd_gen(args) -> int:
 
 
 def _train_once(
-    pruned: Sequence[tuple[LabeledContract, ContractGraph]],
-    config: TrainConfig,
-    dim: int,
-    presplit_pairs=None,
+    train: Sequence[ContractGraph], test: Sequence[ContractGraph], config: TrainConfig, dim: int
 ):
     """Vocabulary from the training side only, then embed, normalize, train."""
-    if presplit_pairs is None:
-        labels = [c.label for c, _ in pruned]
-        train_pairs, test_pairs = split_items(list(pruned), labels, 0.9, config.seed)
-    else:
-        train_pairs, test_pairs = presplit_pairs
-    vocab = build_vocabulary([g.tuples for _, g in train_pairs], dim=dim, seed=config.seed)
+    vocab = build_vocabulary([g.tuples for g in train], dim=dim, seed=config.seed)
 
-    def finish(pairs):
-        out = []
-        for contract, graph in pairs:
-            normalized = normalize(embed_nodes(graph, vocab))
-            normalized.label = contract.label
-            out.append(normalized)
-        return out
+    def finish(graphs):
+        return [normalize(embed_nodes(graph, vocab)) for graph in graphs]
 
-    train_graphs, test_graphs = finish(train_pairs), finish(test_pairs)
     model, history = det.train(
-        train_graphs + test_graphs,
-        config,
-        vocab_fingerprint=vocab.fingerprint(),
-        presplit=(train_graphs, test_graphs),
+        finish(train), finish(test), config, vocab_fingerprint=vocab.fingerprint()
     )
     return model, history, vocab
 
@@ -167,8 +148,9 @@ def cmd_train(args) -> int:
             fold_metrics = []
             folds = kfold_indices(len(pruned), args.folds, config.seed)
             for fold, (train_idx, test_idx) in enumerate(folds, 1):
-                fold_pairs = ([pruned[i] for i in train_idx], [pruned[i] for i in test_idx])
-                _, history, _ = _train_once(pruned, config, args.dim, presplit_pairs=fold_pairs)
+                train = [pruned[i] for i in train_idx]
+                test = [pruned[i] for i in test_idx]
+                _, history, _ = _train_once(train, test, config, args.dim)
                 _log_epochs(history, fold=fold)
                 fold_metrics.append(history[-1].held_out)
             out = {
@@ -178,7 +160,8 @@ def cmd_train(args) -> int:
             }
             print(json.dumps(out, sort_keys=True))
             return 0
-        model, history, vocab = _train_once(pruned, config, args.dim)
+        train, test = split_items(pruned, [g.label for g in pruned], 0.9, config.seed)
+        model, history, vocab = _train_once(train, test, config, args.dim)
         _log_epochs(history)
     except DegenerateCorpusError as exc:
         _diagnostic(code="degenerate-corpus", message=str(exc))
@@ -271,11 +254,7 @@ def cmd_eval(args) -> int:
     model, vocab = loaded
     rules = _load_rule_table(args.rules)
     contracts = load_corpus(args.manifest)
-    graphs = []
-    for contract, graph in _prune_contracts(contracts, rules):
-        normalized = normalize(embed_nodes(graph, vocab))
-        normalized.label = contract.label
-        graphs.append(normalized)
+    graphs = [normalize(embed_nodes(graph, vocab)) for graph in _prune_contracts(contracts, rules)]
     if not graphs:
         _diagnostic(code="empty-test-set", message="no usable contracts in manifest")
         return 2

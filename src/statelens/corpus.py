@@ -34,7 +34,6 @@ class LabeledContract:
     path: str
     tree: AstTree
     label: str
-    provenance: str  # "synthetic" or "external"
 
 
 def load_corpus(manifest_path: str | Path) -> list[LabeledContract]:
@@ -81,9 +80,7 @@ def load_corpus(manifest_path: str | Path) -> list[LabeledContract]:
                 f"{manifest_path}:{lineno}: {exc}", offset=exc.offset
             ) from None
         tree = parse_ast_json(text, source_unit=str(ast_path))
-        contracts.append(
-            LabeledContract(path=str(ast_path), tree=tree, label=label, provenance="external")
-        )
+        contracts.append(LabeledContract(path=str(ast_path), tree=tree, label=label))
     return contracts
 
 
@@ -130,12 +127,6 @@ def split_items(
     if not train_idx:
         train_idx.append(test_idx.pop())
     return [items[i] for i in train_idx], [items[i] for i in test_idx]
-
-
-def split(
-    corpus: Sequence[LabeledContract], train_fraction: float = 0.9, seed: int = 42
-) -> tuple[list[LabeledContract], list[LabeledContract]]:
-    return split_items(corpus, [c.label for c in corpus], train_fraction, seed)
 
 
 def kfold_indices(n: int, folds: int, seed: int = 42) -> list[tuple[list[int], list[int]]]:
@@ -447,9 +438,7 @@ def synth_generate(
             if out_path is not None:
                 (out_path / file_name).write_text(text, encoding="utf-8")
             tree = parse_ast_json(text, source_unit=path)
-            contracts.append(
-                LabeledContract(path=path, tree=tree, label=label, provenance="synthetic")
-            )
+            contracts.append(LabeledContract(path=path, tree=tree, label=label))
             manifest_lines.append(json.dumps({"ast_path": file_name, "label": label}))
         readme_lines.append(
             f"- pair{i:04d}: defective={_root_contract_name(contracts[-2].tree)} "
@@ -470,7 +459,3 @@ def _root_contract_name(tree: AstTree) -> str:
         if child.node_type == "ContractDefinition":
             return child.name or "?"
     return "?"
-
-
-def manifest_path_for(out_dir: str | Path) -> Path:
-    return Path(out_dir) / "manifest.jsonl"

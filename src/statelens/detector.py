@@ -11,7 +11,6 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import gcn_core
-from .corpus import split_items
 from .errors import (
     BadLabelError,
     DegenerateCorpusError,
@@ -95,10 +94,6 @@ class GcnModel:
     def dim(self) -> int:
         return self.params.dim
 
-    @property
-    def hidden(self) -> int:
-        return self.params.hidden
-
     def fingerprint(self) -> str:
         return gcn_core.params_fingerprint(self.params)
 
@@ -162,29 +157,21 @@ def evaluate(
 
 
 def train(
-    corpus: Sequence[NormalizedGraph],
+    train_graphs: Sequence[NormalizedGraph],
+    test_graphs: Sequence[NormalizedGraph],
     config: TrainConfig,
     vocab_fingerprint: str = "",
-    presplit: tuple[Sequence[NormalizedGraph], Sequence[NormalizedGraph]] | None = None,
 ) -> tuple[GcnModel, list[EpochStats]]:
-    """Split 90/10, run per-graph gradient steps, track loss and held-out
-    metrics each epoch. Deterministic for a fixed seed.
-
-    `presplit` lets a caller that already partitioned the corpus (to build
-    the vocabulary on the training side only) reuse its exact split.
-    """
-    if not corpus:
+    """Per-graph gradient steps over `train_graphs`; after each epoch, the
+    mean training loss and the metrics on `test_graphs`. Both sides together
+    need labels and both classes. Deterministic for a fixed seed."""
+    if not train_graphs:
         raise EmptyCorpusError("training corpus is empty")
-    labels = [g.label for g in corpus]
+    labels = [g.label for g in [*train_graphs, *test_graphs]]
     if any(label is None for label in labels):
         raise BadLabelError("every training graph needs a label")
     if len(set(labels)) < 2:
         raise DegenerateCorpusError(f"training needs both classes, got only {set(labels)}")
-
-    if presplit is not None:
-        train_graphs, test_graphs = list(presplit[0]), list(presplit[1])
-    else:
-        train_graphs, test_graphs = split_items(list(corpus), labels, 0.9, config.seed)
 
     dim = int(train_graphs[0].features.shape[1])
     # One parameter buffer and one gradient buffer for the whole run: every
@@ -220,15 +207,11 @@ def train(
     return model, history
 
 
-def localize(model: GcnModel, graph: NormalizedGraph, k: int = 5) -> list[tuple[int, float]]:
-    """Top-k AST node ids by salience: the defective-class logit each node
-    would produce if it were the whole pooled representation."""
-    return _top_nodes(model, graph, forward(model.params, graph), k)
-
-
 def _top_nodes(
     model: GcnModel, graph: NormalizedGraph, trace: ForwardTrace, k: int
 ) -> list[tuple[int, float]]:
+    """Top-k AST node ids by salience: the defective-class logit each node
+    would produce if it were the whole pooled representation."""
     if k <= 0:
         return []
     node_logits = trace.h2 @ model.params.w_out + model.params.b_out

@@ -23,14 +23,6 @@ class SchemaViolationError(StateLensError):
     """JSON is well formed but does not follow the compact AST schema."""
 
 
-class UnknownNodeError(StateLensError):
-    """A node id does not exist in the tree."""
-
-
-class OutOfBoundsError(StateLensError):
-    """A source span does not fit inside the given source text."""
-
-
 class EmptyCorpusError(StateLensError):
     """A corpus-level operation received no usable input."""
 

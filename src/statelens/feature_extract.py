@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .ast_ingest import AstNode, AstTree, subtree_preorder
+from .ast_ingest import AstNode, AstTree, read_document, subtree_preorder
 from .errors import SchemaViolationError
 
 
@@ -171,7 +171,9 @@ def parse_rules(text: str) -> list[Rule]:
 
 
 def load_rules(path: str | Path) -> list[Rule]:
-    return parse_rules(Path(path).read_text(encoding="utf-8"))
+    """The rules in a UTF-8 file; undecodable bytes raise MalformedJsonError
+    naming the file, like any other document."""
+    return parse_rules(read_document(path))
 
 
 @lru_cache(maxsize=1)
@@ -219,15 +221,6 @@ _REFERENCE_KINDS = {
     "ModifierDefinition": "modifier",
     "EventDefinition": "event",
 }
-
-
-def categorize_node(node: AstNode, rules=None, ref_kind: str | None = None):
-    """First-match category for one node, or None when no rule applies.
-
-    Pure in (node_type, attributes): `ref_kind` joins the attribute view as
-    a pseudo-attribute so callers resolving references stay deterministic.
-    """
-    return _rule_table(rules).category(node.node_type, node.attributes, ref_kind)
 
 
 def _node_value(tree: AstTree, node: AstNode) -> str:

@@ -26,6 +26,11 @@ DEFECTIVE = 1  # logit/probability index of the defective class
 
 MODEL_MAGIC = b"SGM1"
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def _param_shapes(dim: int, hidden: int) -> tuple[tuple[int, ...], ...]:
     return (dim, hidden), (hidden, hidden), (hidden, 2), (2,)
@@ -91,9 +96,6 @@ class TrainConfig:
     hidden_width: int = 32
     l2_penalty: float = 5e-4
     optimizer: str = "adam"  # "adam" or "sgd"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -109,9 +111,9 @@ class TrainConfig:
 @dataclass
 class ForwardTrace:
     h0: np.ndarray
-    sh0: np.ndarray  # S @ H0, reused by the backward pass
+    sh0: np.ndarray  # S @ H0
     h1: np.ndarray
-    sh1: np.ndarray  # S @ H1, reused by the backward pass
+    sh1: np.ndarray  # S @ H1
     h2: np.ndarray
     pooled: np.ndarray
     logits: np.ndarray
@@ -260,7 +262,8 @@ def optimizer_step(
     in place. Each element sees the operations, in the order, of
     p - lr * g (SGD) or
     m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
-    p - lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps) (Adam)."""
+    p - lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps) (Adam), with
+    b1, b2 and eps the ADAM_* constants."""
     lr = config.learning_rate
     p, g = params.flat, grads.flat
     if state.scratch is None:
@@ -275,18 +278,18 @@ def optimizer_step(
     if state.m is None:
         state.m, state.v = np.zeros_like(p), np.zeros_like(p)
     m, v, t = state.m, state.v, state.step
-    m *= config.beta1
-    np.multiply(g, 1 - config.beta1, out=step)
+    m *= ADAM_BETA1
+    np.multiply(g, 1 - ADAM_BETA1, out=step)
     m += step
-    v *= config.beta2
-    np.multiply(g, 1 - config.beta2, out=step)
+    v *= ADAM_BETA2
+    np.multiply(g, 1 - ADAM_BETA2, out=step)
     step *= g
     v += step
-    np.divide(m, 1.0 - config.beta1**t, out=step)
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
     step *= lr
-    np.divide(v, 1.0 - config.beta2**t, out=denom)
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=denom)
     np.sqrt(denom, out=denom)
-    denom += config.eps
+    denom += ADAM_EPS
     step /= denom
     p -= step
 

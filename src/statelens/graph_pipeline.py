@@ -27,7 +27,6 @@ from .feature_extract import (
     NodeTuple,
     extract_edges,
     extract_node_tuples,
-    label_set_from_rules,
 )
 
 NAME_BUCKETS = 256
@@ -349,19 +348,3 @@ def build_contract_graph(tree: AstTree, rules=None) -> ContractGraph:
     tuples = extract_node_tuples(tree, rules)
     edges = extract_edges(tree, tuples)
     return build_graph(tree, tuples, edges)
-
-
-def process_contract(
-    tree: AstTree,
-    vocab: Vocabulary,
-    rules=None,
-    label_set: LabelSet | None = None,
-    label: str | None = None,
-) -> NormalizedGraph:
-    """Full chain from parsed tree to GCN-ready matrices."""
-    if label_set is None:
-        label_set = label_set_from_rules(rules)
-    graph = optimize_graph(build_contract_graph(tree, rules), label_set)
-    graph = embed_nodes(graph, vocab)
-    graph.label = label
-    return normalize(graph)

@@ -18,10 +18,5 @@ def proxy_ast_text() -> str:
 
 
 @pytest.fixture(scope="session")
-def proxy_source() -> str:
-    return (FIXTURES / "unguarded_transfer.sol").read_text(encoding="utf-8")
-
-
-@pytest.fixture(scope="session")
 def proxy_tree(proxy_ast_text):
     return parse_ast_json(proxy_ast_text, source_unit="unguarded_transfer.ast.json")

@@ -18,7 +18,11 @@ from statelens.feature_extract import (
     NodeTuple,
     label_set_from_rules,
 )
+from statelens.ast_ingest import AstTree
 from statelens.gcn_core import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     CLASSES,
     GcnParams,
     OptimizerState,
@@ -26,7 +30,15 @@ from statelens.gcn_core import (
     init_params,
     loss_and_grads,
 )
-from statelens.graph_pipeline import ContractGraph, NormalizedGraph
+from statelens.graph_pipeline import (
+    ContractGraph,
+    NormalizedGraph,
+    Vocabulary,
+    build_contract_graph,
+    embed_nodes,
+    normalize,
+    optimize_graph,
+)
 
 LABEL_PAIRS = sorted(label_set_from_rules().entries, key=lambda p: (p[0], p[1].value))
 
@@ -120,6 +132,14 @@ def random_normalized_graph(
         spans=[(0, 0, 0)] * n,
         label=label,
     )
+
+
+def normalized_contract(tree: AstTree, vocab: Vocabulary, label: str | None = None) -> NormalizedGraph:
+    """One tree through the default rules to GCN-ready matrices: the chain
+    `statelens detect` runs per file."""
+    graph = optimize_graph(build_contract_graph(tree), label_set_from_rules())
+    graph.label = label
+    return normalize(embed_nodes(graph, vocab))
 
 
 def random_params(rng: np.random.Generator, dim: int, hidden: int, scale=1.0) -> GcnParams:
@@ -226,11 +246,11 @@ def reference_optimizer_step(
     t = state.step + 1
     m_prev = state.m if state.m is not None else np.zeros_like(p)
     v_prev = state.v if state.v is not None else np.zeros_like(p)
-    m = config.beta1 * m_prev + (1 - config.beta1) * g
-    v = config.beta2 * v_prev + (1 - config.beta2) * g * g
-    bias1 = 1.0 - config.beta1**t
-    bias2 = 1.0 - config.beta2**t
-    updated = p - lr * (m / bias1) / (np.sqrt(v / bias2) + config.eps)
+    m = ADAM_BETA1 * m_prev + (1 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v_prev + (1 - ADAM_BETA2) * g * g
+    bias1 = 1.0 - ADAM_BETA1**t
+    bias2 = 1.0 - ADAM_BETA2**t
+    updated = p - lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
     return GcnParams.from_flat(updated, params.dim, params.hidden), OptimizerState(step=t, m=m, v=v)
 
 

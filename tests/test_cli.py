@@ -581,6 +581,26 @@ def test_train_non_utf8_ast_names_the_manifest_line(corpus_dir, tmp_path, capsys
     assert f"{manifest}:2:" in diagnostic["message"] and "byte 0" in diagnostic["message"]
 
 
+@pytest.mark.parametrize("command", ["inspect", "detect", "train"])
+def test_non_utf8_rules_file_is_one_diagnostic_naming_it(trained, corpus_dir, tmp_path, capsys, command):
+    rules = tmp_path / "bad.rules"
+    rules.write_bytes(b"\xff\xfeFunctionDefinition -> Function\n")
+    target = str(corpus_dir / "pair0000_defective.ast.json")
+    model, vocab = tmp_path / "m.sgm", tmp_path / "v.json"
+    rest = {
+        "inspect": [target],
+        "detect": ["--model", str(trained["model"]), "--vocab", str(trained["vocab"]), target],
+        "train": ["--manifest", str(corpus_dir / "manifest.jsonl"), "--model", str(model), "--vocab", str(vocab)],
+    }[command]
+    assert main([command, "--rules", str(rules), *rest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diagnostic = _single_error_line(captured.err)
+    assert diagnostic["code"] == "MalformedJsonError"
+    assert str(rules) in diagnostic["message"] and "byte 0" in diagnostic["message"]
+    assert not model.exists() and not vocab.exists()
+
+
 @pytest.mark.parametrize("command", ["detect", "eval"])
 def test_model_and_vocab_width_mismatch_caught_at_load(
     trained, corpus_dir, tmp_path, capsys, monkeypatch, command

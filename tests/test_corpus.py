@@ -9,7 +9,6 @@ from statelens.ast_ingest import validate_tree
 from statelens.corpus import (
     kfold_indices,
     load_corpus,
-    split,
     split_items,
     synth_generate,
 )
@@ -49,7 +48,6 @@ def test_load_two_records(tmp_path):
     )
     contracts = load_corpus(manifest)
     assert [c.label for c in contracts] == ["defective", "clean"]
-    assert all(c.provenance == "external" for c in contracts)
     assert all(len(c.tree) == 2 for c in contracts)
 
 
@@ -152,13 +150,6 @@ def test_split_too_small():
         split_items([1], None, 0.9, 0)
 
 
-def test_split_labeled_contract_wrapper(tmp_path):
-    contracts = synth_generate(5, seed=3)
-    train, test = split(contracts, 0.9, seed=1)
-    assert len(train) + len(test) == 10
-    assert {c.path for c in train} | {c.path for c in test} == {c.path for c in contracts}
-
-
 def test_kfold_indices_cover_everything():
     folds = kfold_indices(10, 5, seed=0)
     assert len(folds) == 5
@@ -176,7 +167,6 @@ def test_kfold_indices_cover_everything():
 def test_generate_one_pair():
     contracts = synth_generate(1, seed=0)
     assert [c.label for c in contracts] == ["defective", "clean"]
-    assert all(c.provenance == "synthetic" for c in contracts)
 
 
 def test_generated_trees_are_valid():
@@ -193,13 +183,11 @@ def test_generated_labels_match_structural_oracle(tmp_path):
         assert is_defective_shaped(doc) == (contract.label == "defective")
 
 
-def test_minimal_pair_differs_only_in_guard():
-    contracts = synth_generate(10, seed=4)
-    from statelens.ast_ingest import tree_to_json
-
+def test_minimal_pair_differs_only_in_guard(tmp_path):
+    contracts = synth_generate(10, seed=4, out_dir=tmp_path)
     for defective, clean in zip(contracts[::2], contracts[1::2]):
-        shape_def = json_shape(json.loads(tree_to_json(defective.tree)))
-        shape_cln = json_shape(json.loads(tree_to_json(clean.tree)))
+        shape_def = json_shape(json.loads((tmp_path / defective.path.split("/")[-1]).read_text()))
+        shape_cln = json_shape(json.loads((tmp_path / clean.path.split("/")[-1]).read_text()))
 
         def strip_guard(shape):
             """Replace each IfStatement(cond, Block(body...)) with body."""

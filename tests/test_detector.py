@@ -13,9 +13,15 @@ from statelens.errors import (
 )
 from statelens.feature_extract import extract_node_tuples
 from statelens.gcn_core import GcnParams, TrainConfig, params_to_bytes
-from statelens.graph_pipeline import build_vocabulary, process_contract
+from statelens.graph_pipeline import build_vocabulary
 
-from helpers import brute_force_confusion, random_normalized_graph, random_params, reference_train
+from helpers import (
+    brute_force_confusion,
+    normalized_contract,
+    random_normalized_graph,
+    random_params,
+    reference_train,
+)
 
 
 def _zero_model(dim=4, hidden=3) -> det.GcnModel:
@@ -38,6 +44,11 @@ def _toy_corpus(rng, copies=10):
     return [_toy_graph("defective", rng) for _ in range(copies)] + [
         _toy_graph("clean", rng) for _ in range(copies)
     ]
+
+
+def _split(graphs, seed: int):
+    """The 90/10 stratified split `statelens train` makes."""
+    return split_items(graphs, [g.label for g in graphs], 0.9, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +176,7 @@ def test_evaluate_requires_labels():
 
 def test_train_separable_toy_reaches_perfect_heldout():
     corpus = _toy_corpus(np.random.default_rng(5))
-    model, history = det.train(corpus, TrainConfig(epochs=50, seed=3))
+    model, history = det.train(*_split(corpus, 3), TrainConfig(epochs=50, seed=3))
     assert history[-1].held_out.acc == 1.0
     assert len(history) == 50
 
@@ -173,8 +184,8 @@ def test_train_separable_toy_reaches_perfect_heldout():
 def test_train_deterministic():
     corpus = _toy_corpus(np.random.default_rng(6))
     config = TrainConfig(epochs=10, seed=7)
-    model_a, history_a = det.train(corpus, config)
-    model_b, history_b = det.train(corpus, config)
+    model_a, history_a = det.train(*_split(corpus, 7), config)
+    model_b, history_b = det.train(*_split(corpus, 7), config)
     assert params_to_bytes(model_a.params) == params_to_bytes(model_b.params)
     assert [h.to_json_dict() for h in history_a] == [h.to_json_dict() for h in history_b]
 
@@ -183,10 +194,10 @@ def test_train_deterministic():
 def test_train_equals_allocating_reference_steps(optimizer):
     contracts = synth_generate(10, seed=5)
     vocab = build_vocabulary([extract_node_tuples(c.tree) for c in contracts], dim=16, seed=5)
-    corpus = [process_contract(c.tree, vocab, label=c.label) for c in contracts]
+    corpus = [normalized_contract(c.tree, vocab, label=c.label) for c in contracts]
     config = TrainConfig(epochs=5, seed=5, optimizer=optimizer, learning_rate=1e-2)
-    model, history = det.train(corpus, config)
-    train_side, test_side = split_items(corpus, [g.label for g in corpus], 0.9, config.seed)
+    train_side, test_side = _split(corpus, config.seed)
+    model, history = det.train(train_side, test_side, config)
     ref_params, ref_history = reference_train(train_side, test_side, config)
     assert params_to_bytes(model.params) == params_to_bytes(ref_params)
     assert history == ref_history
@@ -196,28 +207,29 @@ def test_train_single_class_degenerate():
     rng = np.random.default_rng(7)
     corpus = [_toy_graph("defective", rng) for _ in range(4)]
     with pytest.raises(DegenerateCorpusError):
-        det.train(corpus, TrainConfig(epochs=1))
+        det.train(corpus[:3], corpus[3:], TrainConfig(epochs=1))
 
 
 def test_train_empty_corpus():
     with pytest.raises(EmptyCorpusError):
-        det.train([], TrainConfig(epochs=1))
+        det.train([], [], TrainConfig(epochs=1))
 
 
 def test_train_unlabeled_rejected():
     rng = np.random.default_rng(8)
-    corpus = [_toy_graph("defective", rng), random_normalized_graph(rng, n=3, dim=8, label=None)]
+    labeled = [_toy_graph("defective", rng), _toy_graph("clean", rng)]
+    unlabeled = random_normalized_graph(rng, n=3, dim=8, label=None)
     with pytest.raises(BadLabelError):
-        det.train(corpus, TrainConfig(epochs=1))
+        det.train(labeled, [unlabeled], TrainConfig(epochs=1))
+    with pytest.raises(BadLabelError):
+        det.train([*labeled, unlabeled], labeled, TrainConfig(epochs=1))
 
 
-def test_train_respects_presplit():
+def test_train_scores_only_the_test_graphs():
     rng = np.random.default_rng(9)
     corpus = _toy_corpus(rng, copies=5)
     train_side, test_side = corpus[:4] + corpus[5:9], [corpus[4], corpus[9]]
-    model, history = det.train(
-        corpus, TrainConfig(epochs=5, seed=1), presplit=(train_side, test_side)
-    )
+    model, history = det.train(train_side, test_side, TrainConfig(epochs=5, seed=1))
     # held-out metrics must come from exactly the two test graphs
     assert history[-1].held_out.tp + history[-1].held_out.fp + history[-1].held_out.tn + history[
         -1
@@ -225,13 +237,13 @@ def test_train_respects_presplit():
 
 
 # ---------------------------------------------------------------------------
-# localize
+# suspect nodes: the localization a report carries
 # ---------------------------------------------------------------------------
 
 
 def test_localize_k_zero():
     g = random_normalized_graph(np.random.default_rng(10), n=4, dim=4)
-    assert det.localize(_zero_model(), g, k=0) == []
+    assert det.build_report(_zero_model(), g, contract="g", k=0).top_nodes == []
 
 
 def test_localize_uniform_graph_stable_order():
@@ -241,19 +253,19 @@ def test_localize_uniform_graph_stable_order():
     g.s_hat = np.full((5, 5), 1 / 5.0)  # fully uniform mixing
     g.node_ids = [50, 40, 30, 20, 10]
     model = det.GcnModel(params=random_params(rng, dim=4, hidden=3))
-    ranked = det.localize(model, g, k=5)
-    saliences = [s for _, s in ranked]
+    ranked = det.build_report(model, g, contract="g", k=5).top_nodes
+    saliences = [node.salience for node in ranked]
     assert max(saliences) - min(saliences) < 1e-12
-    assert [node_id for node_id, _ in ranked] == [50, 40, 30, 20, 10]  # graph order on ties
+    assert [node.node_id for node in ranked] == [50, 40, 30, 20, 10]  # graph order on ties
 
 
 def test_localize_sorted_descending():
     rng = np.random.default_rng(12)
     g = random_normalized_graph(rng, n=8, dim=4)
     model = det.GcnModel(params=random_params(rng, dim=4, hidden=3))
-    ranked = det.localize(model, g, k=4)
+    ranked = det.build_report(model, g, contract="g", k=4).top_nodes
     assert len(ranked) == 4
-    saliences = [s for _, s in ranked]
+    saliences = [node.salience for node in ranked]
     assert saliences == sorted(saliences, reverse=True)
 
 

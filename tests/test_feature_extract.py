@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statelens.ast_ingest import AstNode, parse_ast_json
+from statelens.ast_ingest import parse_ast_json
 from statelens.errors import SchemaViolationError
 from statelens.feature_extract import (
     DependencyCategory,
@@ -12,7 +12,6 @@ from statelens.feature_extract import (
     EdgeType,
     Rule,
     RuleTable,
-    categorize_node,
     default_rules,
     extract_edges,
     extract_node_tuples,
@@ -21,12 +20,6 @@ from statelens.feature_extract import (
 )
 
 from helpers import walk_json_nodes
-
-
-def _node(node_type: str, attributes=None) -> AstNode:
-    return AstNode(
-        id=1, node_type=node_type, name=None, attributes=attributes or {}, src_span=(0, 0, 0), children=()
-    )
 
 
 @pytest.mark.parametrize(
@@ -46,19 +39,20 @@ def _node(node_type: str, attributes=None) -> AstNode:
     ],
 )
 def test_categorize_by_type(node_type, expected):
-    assert categorize_node(_node(node_type)) is expected
+    assert default_rules().category(node_type, {}) is expected
 
 
 @pytest.mark.parametrize("node_type", ["PragmaDirective", "SourceUnit", "Block", "ParameterList"])
 def test_uncategorized_types(node_type):
-    assert categorize_node(_node(node_type)) is None
+    assert default_rules().category(node_type, {}) is None
 
 
 def test_identifier_needs_reference_kind():
-    assert categorize_node(_node("Identifier")) is None
-    assert categorize_node(_node("Identifier"), ref_kind="variable") is DependencyCategory.DATA
-    assert categorize_node(_node("Identifier"), ref_kind="function") is DependencyCategory.FUNCTION
-    assert categorize_node(_node("Identifier"), ref_kind="event") is None
+    table = default_rules()
+    assert table.category("Identifier", {}) is None
+    assert table.category("Identifier", {}, ref_kind="variable") is DependencyCategory.DATA
+    assert table.category("Identifier", {}, ref_kind="function") is DependencyCategory.FUNCTION
+    assert table.category("Identifier", {}, ref_kind="event") is None
 
 
 def test_rule_file_parsing_and_errors():
@@ -103,8 +97,8 @@ def test_label_set_covers_rule_table():
 )
 @settings(max_examples=80)
 def test_categorize_is_pure(node_type, attrs):
-    first = categorize_node(_node(node_type, dict(attrs)))
-    second = categorize_node(_node(node_type, dict(attrs)))
+    first = default_rules().category(node_type, dict(attrs))
+    second = default_rules().category(node_type, dict(attrs))
     assert first is second
 
 
@@ -123,7 +117,13 @@ def test_default_rules_is_a_compiled_table_in_file_order():
 
 def test_categorize_accepts_a_plain_rule_list():
     rules = parse_rules("Identifier ref_kind=event -> Declaration\n")
-    assert categorize_node(_node("Identifier"), rules, ref_kind="event") is DependencyCategory.DECLARATION
+    assert RuleTable(rules).category("Identifier", {}, ref_kind="event") is DependencyCategory.DECLARATION
+    doc = (
+        '{"id": 1, "nodeType": "SourceUnit", "nodes": [{"id": 2, "nodeType": "EventDefinition"}, '
+        '{"id": 3, "nodeType": "Identifier", "referencedDeclaration": 2}]}'
+    )
+    tuples = extract_node_tuples(parse_ast_json(doc), rules)
+    assert [(t.n_id, t.category) for t in tuples] == [(3, DependencyCategory.DECLARATION)]
 
 
 _TYPE_CHARS = "ABC"
@@ -168,7 +168,6 @@ def test_compiled_table_matches_rule_by_rule_first_match(rules, nodes):
     for node_type, attributes, ref_kind in nodes:
         expected = _reference_category(rules, node_type, attributes, ref_kind)
         assert table.category(node_type, attributes, ref_kind) is expected
-        assert categorize_node(_node(node_type, attributes), table, ref_kind=ref_kind) is expected
 
 
 def test_tuples_empty_for_pragma_only():

@@ -5,6 +5,9 @@ import pytest
 
 from statelens.errors import SchemaViolationError, ShapeMismatchError
 from statelens.gcn_core import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     GcnParams,
     OptimizerState,
     TrainConfig,
@@ -263,7 +266,7 @@ def test_adam_first_step_magnitude_and_sign():
         g = getattr(grads, name)
         delta = getattr(updated, name) - getattr(params, name)
         # first bias-corrected step: -lr * g / (|g| + eps) ~= -lr * sign(g)
-        expected = -config.learning_rate * g / (np.abs(g) + config.eps)
+        expected = -config.learning_rate * g / (np.abs(g) + ADAM_EPS)
         assert np.allclose(delta, expected, rtol=1e-12)
         assert np.all(np.sign(delta[g != 0]) == -np.sign(g[g != 0]))
     assert state.step == 1 and state.m is not None and state.v is not None
@@ -317,11 +320,11 @@ def _reference_steps(params: GcnParams, graphs, config: TrainConfig) -> dict[str
             if config.optimizer == "sgd":
                 p[name] = p[name] - lr * g[name]
                 continue
-            m[name] = config.beta1 * m[name] + (1 - config.beta1) * g[name]
-            v[name] = config.beta2 * v[name] + (1 - config.beta2) * g[name] * g[name]
-            bias1 = 1.0 - config.beta1**t
-            bias2 = 1.0 - config.beta2**t
-            p[name] = p[name] - lr * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + config.eps)
+            m[name] = ADAM_BETA1 * m[name] + (1 - ADAM_BETA1) * g[name]
+            v[name] = ADAM_BETA2 * v[name] + (1 - ADAM_BETA2) * g[name] * g[name]
+            bias1 = 1.0 - ADAM_BETA1**t
+            bias2 = 1.0 - ADAM_BETA2**t
+            p[name] = p[name] - lr * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + ADAM_EPS)
     return p
 
 

@@ -28,7 +28,6 @@ from statelens.graph_pipeline import (
     load_vocabulary,
     normalize,
     optimize_graph,
-    process_contract,
     save_vocabulary,
     token_for,
 )
@@ -38,6 +37,7 @@ from helpers import (
     brute_force_normalize,
     dense_adjacency,
     nested_ast_json,
+    normalized_contract,
     random_contract_graph,
     random_label_subset,
     random_params,
@@ -465,11 +465,12 @@ def test_sparse_forward_matches_dense_s():
     dense = _densified(sparse)
     params = random_params(rng, dim=sparse.features.shape[1], hidden=5, scale=0.5)
     assert abs(forward(params, sparse).probability - forward(params, dense).probability) <= 1e-12
+    assert np.max(np.abs(forward(params, sparse).h2 - forward(params, dense).h2)) <= 1e-12
     model = det.GcnModel(params=params)
-    ranked_sparse = det.localize(model, sparse, k=sparse.n)
-    ranked_dense = det.localize(model, dense, k=dense.n)
-    saliences_sparse = np.array([s for _, s in ranked_sparse])
-    saliences_dense = np.array([s for _, s in ranked_dense])
+    top_sparse = det.build_report(model, sparse, contract="sparse").top_nodes
+    top_dense = det.build_report(model, dense, contract="dense").top_nodes
+    saliences_sparse = np.array([node.salience for node in top_sparse])
+    saliences_dense = np.array([node.salience for node in top_dense])
     assert np.max(np.abs(saliences_sparse - saliences_dense)) <= 1e-12
     _, grads_sparse = loss_and_grads(params, sparse, "defective", 5e-4)
     _, grads_dense = loss_and_grads(params, dense, "defective", 5e-4)
@@ -494,8 +495,8 @@ def test_sparse_forward_permutation_invariant():
 
 def test_pipeline_bit_identical(proxy_tree):
     vocab = build_vocabulary([extract_node_tuples(proxy_tree)], dim=8, seed=4)
-    a = process_contract(proxy_tree, vocab, label="defective")
-    b = process_contract(proxy_tree, vocab, label="defective")
+    a = normalized_contract(proxy_tree, vocab, label="defective")
+    b = normalized_contract(proxy_tree, vocab, label="defective")
     assert a.features.tobytes() == b.features.tobytes()
     assert a.s_hat.tobytes() == b.s_hat.tobytes()
     assert (a.node_ids, a.spans, a.label) == (b.node_ids, b.spans, b.label)
