@@ -35,17 +35,15 @@ class AstNode:
 
 @dataclass(frozen=True)
 class AstTree:
+    """A tree as `parse_ast_json` builds it: `nodes` holds every node
+    reachable from the root, in preorder, and `parents` maps each non-root
+    node's id to its parent's. `validate_tree` checks trees built any
+    other way."""
+
     root_id: int
     nodes: dict[int, AstNode]
+    parents: dict[int, int]
     source_unit: str = "<memory>"
-    # child id -> parent id for every non-root node; derived from `children`
-    # when not given (the parser records it as it builds the tree)
-    parents: dict[int, int] | None = None
-
-    def __post_init__(self):
-        if self.parents is None:
-            parents = {child: node.id for node in self.nodes.values() for child in node.children}
-            object.__setattr__(self, "parents", parents)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -219,7 +217,7 @@ def parse_ast_json(document: str, source_unit: str = "<memory>") -> AstTree:
         nodes, parents = _build_nodes(data, source_unit)
     except RecursionError:  # attribute values (not nodes) nested past the limit
         raise SchemaViolationError(f"{source_unit}: AST nested too deeply to parse") from None
-    return AstTree(root_id=data["id"], nodes=nodes, source_unit=source_unit, parents=parents)
+    return AstTree(root_id=data["id"], nodes=nodes, parents=parents, source_unit=source_unit)
 
 
 def subtree_preorder(tree: AstTree, node_id: int) -> Iterator[AstNode]:

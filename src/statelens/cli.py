@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import traceback
@@ -67,11 +68,26 @@ def _configure_logging() -> None:
     log.propagate = False
 
 
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
-    return value
+def _ranged(convert, ok, wording: str):
+    """An argparse type: `convert` the text, then reject a value that fails
+    `ok` (nan fails every comparison) with a usage error naming the range."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {wording}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_probability = _ranged(float, lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+_positive_int = _ranged(int, lambda v: v >= 1, "be an integer >= 1")
+_nonnegative_int = _ranged(int, lambda v: v >= 0, "be an integer >= 0")
+_positive_float = _ranged(float, lambda v: 0.0 < v < math.inf, "be finite and > 0")
+_nonnegative_float = _ranged(float, lambda v: 0.0 <= v < math.inf, "be finite and >= 0")
+_fold_count = _ranged(int, lambda v: v == 0 or v >= 2, "be 0 (one split) or an integer >= 2")
 
 
 def _load_rule_table(path: str | None) -> RuleTable:
@@ -140,7 +156,7 @@ def cmd_train(args) -> int:
     rules = _load_rule_table(args.rules)
     contracts = load_corpus(args.manifest)
     pruned = _prune_contracts(contracts, rules)
-    if len(pruned) < 2:
+    if len(pruned) < max(2, args.folds):
         _diagnostic(code="too-small", message=f"only {len(pruned)} usable contracts")
         return 2
     try:
@@ -313,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic labeled corpus")
-    p_gen.add_argument("--pairs", type=int, required=True, help="number of minimal pairs")
+    p_gen.add_argument("--pairs", type=_positive_int, required=True, help="number of minimal pairs")
     p_gen.add_argument("--seed", type=int, default=42)
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.set_defaults(func=cmd_gen)
@@ -322,22 +338,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--manifest", required=True)
     p_train.add_argument("--model", required=True, help="output model path")
     p_train.add_argument("--vocab", required=True, help="output vocabulary path")
-    p_train.add_argument("--seed", type=int, default=42)
-    p_train.add_argument("--epochs", type=int, default=100)
-    p_train.add_argument("--lr", type=float, default=1e-3)
-    p_train.add_argument("--hidden", type=int, default=32)
-    p_train.add_argument("--dim", type=int, default=64)
-    p_train.add_argument("--l2", type=float, default=5e-4)
+    p_train.add_argument("--seed", type=_nonnegative_int, default=42)
+    p_train.add_argument("--epochs", type=_positive_int, default=100)
+    p_train.add_argument("--lr", type=_positive_float, default=1e-3)
+    p_train.add_argument("--hidden", type=_positive_int, default=32)
+    p_train.add_argument("--dim", type=_positive_int, default=64)
+    p_train.add_argument("--l2", type=_nonnegative_float, default=5e-4)
     p_train.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
     p_train.add_argument("--rules", default=None, help="custom classification rules file")
-    p_train.add_argument("--folds", type=int, default=0, help="k-fold cross-validation instead of a single split")
+    p_train.add_argument("--folds", type=_fold_count, default=0, help="k-fold cross-validation instead of a single split")
     p_train.set_defaults(func=cmd_train)
 
     p_detect = sub.add_parser("detect", help="classify contracts and emit reports")
     p_detect.add_argument("--model", required=True)
     p_detect.add_argument("--vocab", required=True)
     p_detect.add_argument("--threshold", type=_probability, default=0.5)
-    p_detect.add_argument("--top-k", type=int, default=5)
+    p_detect.add_argument("--top-k", type=_nonnegative_int, default=5)
     p_detect.add_argument("--format", choices=("json", "text"), default="json")
     p_detect.add_argument("--out-dir", default=None, help="write per-file reports here")
     p_detect.add_argument("--rules", default=None)

@@ -9,11 +9,12 @@ randomized per contract so the classifier cannot key on strings.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 from .ast_ingest import AstTree, parse_ast_json, read_document
 from .errors import (
@@ -86,11 +87,12 @@ def load_corpus(manifest_path: str | Path) -> list[LabeledContract]:
 
 def split_items(
     items: Sequence[T],
-    labels: Sequence[str] | None,
+    labels: Sequence[str],
     train_fraction: float = 0.9,
     seed: int = 42,
 ) -> tuple[list[T], list[T]]:
-    """Seeded shuffle then prefix split, stratified by label when possible.
+    """Seeded shuffle, then per label the first round(fraction * count)
+    items of that label go to training, the rest to the test side.
 
     Returns a partition (train, test); both sides are non-empty whenever
     len(items) >= 2.
@@ -100,27 +102,20 @@ def split_items(
     n = len(items)
     if n < 2:
         raise TooSmallError(f"need at least 2 items to split, got {n}")
-    if labels is not None and len(labels) != n:
+    if len(labels) != n:
         raise ValueError("labels must align with items")
 
     order = list(range(n))
     random.Random(seed).shuffle(order)
 
-    if labels is not None and len(set(labels)) > 1:
-        per_class = {label: sum(1 for l in labels if l == label) for label in set(labels)}
-        quota = {label: round(train_fraction * count) for label, count in per_class.items()}
-        taken = {label: 0 for label in per_class}
-        train_idx, test_idx = [], []
-        for i in order:
-            label = labels[i]
-            if taken[label] < quota[label]:
-                taken[label] += 1
-                train_idx.append(i)
-            else:
-                test_idx.append(i)
-    else:
-        cut = round(train_fraction * n)
-        train_idx, test_idx = order[:cut], order[cut:]
+    quota = {label: round(train_fraction * labels.count(label)) for label in set(labels)}
+    train_idx, test_idx = [], []
+    for i in order:
+        if quota[labels[i]] > 0:
+            quota[labels[i]] -= 1
+            train_idx.append(i)
+        else:
+            test_idx.append(i)
 
     if not test_idx:
         test_idx.append(train_idx.pop())
@@ -154,13 +149,7 @@ _CONTRACT_SUFFIX = ["Vault", "Pool", "Market", "Router", "Exchange", "Bridge"]
 _BENIGN_KINDS = ["getter", "compute", "loop"]
 
 
-class _IdGen:
-    def __init__(self):
-        self.next_id = 0
-
-    def __call__(self) -> int:
-        self.next_id += 1
-        return self.next_id
+_IdGen = Callable[[], int]  # each call returns the next node id: 1, 2, 3, ...
 
 
 def _src(node_id: int) -> str:
@@ -326,7 +315,7 @@ def _benign_function(gen: _IdGen, names: _Names, kind: str, state_var: dict) -> 
 
 
 def _build_contract_doc(spec: _PairSpec, rng: random.Random, guarded: bool) -> dict:
-    gen = _IdGen()
+    gen: _IdGen = itertools.count(1).__next__
     names = _Names(rng)
 
     owner = _var_decl(gen, names.fresh(), "address", state=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -10,7 +11,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import gcn_core
 from .errors import (
     BadLabelError,
     DegenerateCorpusError,
@@ -27,6 +27,8 @@ from .gcn_core import (
     init_params,
     loss_and_grads,
     optimizer_step,
+    params_from_bytes,
+    params_to_bytes,
 )
 from .graph_pipeline import NormalizedGraph
 
@@ -95,14 +97,14 @@ class GcnModel:
         return self.params.dim
 
     def fingerprint(self) -> str:
-        return gcn_core.params_fingerprint(self.params)
+        return hashlib.sha256(params_to_bytes(self.params)).hexdigest()
 
     def save(self, path: str | Path) -> None:
-        gcn_core.save_model(path, self.params, self.vocab_fingerprint)
+        Path(path).write_bytes(params_to_bytes(self.params, self.vocab_fingerprint))
 
     @classmethod
     def load(cls, path: str | Path) -> "GcnModel":
-        params, fingerprint = gcn_core.load_model(path)
+        params, fingerprint = params_from_bytes(Path(path).read_bytes())
         return cls(params=params, vocab_fingerprint=fingerprint)
 
 
@@ -207,24 +209,24 @@ def train(
     return model, history
 
 
-def _top_nodes(
-    model: GcnModel, graph: NormalizedGraph, trace: ForwardTrace, k: int
-) -> list[tuple[int, float]]:
-    """Top-k AST node ids by salience: the defective-class logit each node
-    would produce if it were the whole pooled representation."""
-    if k <= 0:
-        return []
-    node_logits = trace.h2 @ model.params.w_out + model.params.b_out
-    salience = node_logits[:, DEFECTIVE]
-    order = sorted(range(graph.n), key=lambda i: (-salience[i], i))[:k]
-    return [(graph.node_ids[i], float(salience[i])) for i in order]
-
-
 @dataclass
 class ReportNode:
     node_id: int
     span: tuple[int, int, int]
     salience: float
+
+
+def _top_nodes(
+    model: GcnModel, graph: NormalizedGraph, trace: ForwardTrace, k: int
+) -> list[ReportNode]:
+    """Top-k nodes by salience: the defective-class logit each node would
+    produce if it were the whole pooled representation."""
+    if k <= 0:
+        return []
+    node_logits = trace.h2 @ model.params.w_out + model.params.b_out
+    salience = node_logits[:, DEFECTIVE]
+    order = sorted(range(graph.n), key=lambda i: (-salience[i], i))[:k]
+    return [ReportNode(graph.node_ids[i], graph.spans[i], float(salience[i])) for i in order]
 
 
 @dataclass
@@ -276,16 +278,11 @@ def build_report(
     `model.fingerprint()` when the caller has hashed the model already, as
     `detect` does once per call; otherwise the model is hashed here."""
     trace = forward(model.params, graph)  # one pass serves verdict and ranking
-    span_of = dict(zip(graph.node_ids, graph.spans))
-    top = [
-        ReportNode(node_id=node_id, span=span_of[node_id], salience=salience)
-        for node_id, salience in _top_nodes(model, graph, trace, min(k, MAX_REPORT_NODES))
-    ]
     return DetectionReport(
         contract=contract,
         verdict=_verdict(trace.probability, threshold),
         probability=trace.probability,
-        top_nodes=top,
+        top_nodes=_top_nodes(model, graph, trace, min(k, MAX_REPORT_NODES)),
         model_fingerprint=model_fingerprint or model.fingerprint(),
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )

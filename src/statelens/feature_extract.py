@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .ast_ingest import AstNode, AstTree, read_document, subtree_preorder
-from .errors import SchemaViolationError
+from .errors import MalformedJsonError, SchemaViolationError
 
 
 class DependencyCategory(Enum):
@@ -75,14 +75,8 @@ class Rule:
         return all(attributes.get(key) == value for key, value in self.attrs)
 
 
-@dataclass(frozen=True)
-class LabelSet:
-    """(node_type, category) pairs a graph node must match to survive pruning."""
-
-    entries: frozenset[tuple[str, DependencyCategory]]
-
-    def __contains__(self, pair: tuple[str, DependencyCategory]) -> bool:
-        return pair in self.entries
+# (node_type, category) pairs a graph node must match to survive pruning
+LabelSet = frozenset[tuple[str, DependencyCategory]]
 
 
 class RuleTable:
@@ -131,14 +125,6 @@ class RuleTable:
         return None
 
 
-def _rule_table(rules=None) -> RuleTable:
-    """The default table for None, `rules` itself when already compiled,
-    otherwise a table compiled from the given rules."""
-    if rules is None:
-        return default_rules()
-    return rules if isinstance(rules, RuleTable) else RuleTable(rules)
-
-
 def parse_rules(text: str) -> list[Rule]:
     rules: list[Rule] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -171,9 +157,12 @@ def parse_rules(text: str) -> list[Rule]:
 
 
 def load_rules(path: str | Path) -> list[Rule]:
-    """The rules in a UTF-8 file; undecodable bytes raise MalformedJsonError
-    naming the file, like any other document."""
-    return parse_rules(read_document(path))
+    """The rules in a UTF-8 file; undecodable bytes raise SchemaViolationError
+    naming the file and the byte offset, like any other rule-table fault."""
+    try:
+        return parse_rules(read_document(path))
+    except MalformedJsonError as exc:
+        raise SchemaViolationError(str(exc)) from None
 
 
 @lru_cache(maxsize=1)
@@ -182,15 +171,14 @@ def default_rules() -> RuleTable:
     return RuleTable(parse_rules(text))
 
 
-def label_set_from_rules(rules=None) -> LabelSet:
+def label_set_from_rules(rules: RuleTable | None = None) -> LabelSet:
     """All concrete (node_type, category) pairs the rule table can produce."""
     rules = default_rules() if rules is None else rules
-    entries = {
+    return frozenset(
         (rule.pattern, rule.category)
         for rule in rules
         if not any(ch in rule.pattern for ch in "*?[")
-    }
-    return LabelSet(entries=frozenset(entries))
+    )
 
 
 def referenced_declaration(node: AstNode) -> int | None:
@@ -237,11 +225,12 @@ def _node_value(tree: AstTree, node: AstNode) -> str:
     return ""
 
 
-def extract_node_tuples(tree: AstTree, rules=None) -> list[NodeTuple]:
-    """One tuple per categorized node, in DFS preorder."""
-    table = _rule_table(rules)
+def extract_node_tuples(tree: AstTree, rules: RuleTable | None = None) -> list[NodeTuple]:
+    """One tuple per categorized node, in DFS preorder (the order of
+    `tree.nodes`); `rules` defaults to `default_rules()`."""
+    table = default_rules() if rules is None else rules
     tuples: list[NodeTuple] = []
-    for node in subtree_preorder(tree, tree.root_id):
+    for node in tree.nodes.values():
         candidates = table.candidates(node.node_type)
         if not candidates:
             continue

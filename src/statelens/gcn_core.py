@@ -10,11 +10,9 @@ exact computation; everything is float64 and deterministic.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -102,6 +100,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.hidden_width < 1:
+            raise ValueError("hidden_width must be >= 1")
         if self.l2_penalty < 0:
             raise ValueError("l2_penalty must be >= 0")
         if self.optimizer not in ("adam", "sgd"):
@@ -169,18 +169,11 @@ def _propagate(params: GcnParams, s_hat, sh0: np.ndarray):
     return h1, sh1, h2, pooled, logits, softmax(logits)
 
 
-def forward(
-    params: GcnParams, graph: NormalizedGraph, sx: np.ndarray | None = None
-) -> ForwardTrace:
-    """Two propagation layers relu((S @ H) @ W), then the readout.
-
-    `sx` is S @ X for this graph, computed by the caller. The embedding
-    table is never trained, so a training loop can compute it once per graph
-    rather than once per step; passing it changes no output bit.
-    """
+def forward(params: GcnParams, graph: NormalizedGraph) -> ForwardTrace:
+    """Two propagation layers relu((S @ H) @ W), then the readout."""
     _check_shapes(params, graph)
     s_hat, h0 = graph.s_hat, graph.features
-    sh0 = s_hat @ h0 if sx is None else sx
+    sh0 = s_hat @ h0
     h1, sh1, h2, pooled, logits, probs = _propagate(params, s_hat, sh0)
     return ForwardTrace(
         h0=h0,
@@ -212,7 +205,9 @@ def loss_and_grads(
 ) -> tuple[float, GcnParams]:
     """Cross-entropy plus (l2/2)*||params||^2, with exact reverse-mode grads.
 
-    `sx` is the optional precomputed S @ X that `forward` takes. The
+    `sx` is S @ X for this graph, computed by the caller. The embedding
+    table is never trained, so a training loop can compute it once per graph
+    rather than once per step; passing it changes no output bit. The
     gradients are written into `out` (every element, so a buffer reused
     across graphs carries nothing over) and `out` is returned; without it a
     fresh `GcnParams` is allocated.
@@ -337,18 +332,3 @@ def params_from_bytes(blob: bytes) -> tuple[GcnParams, str]:
         raise SchemaViolationError(f"model vocabulary fingerprint is not UTF-8: {exc}") from None
     flat = np.frombuffer(blob, dtype="<f8", count=count, offset=_HEADER_END + fp_len)
     return GcnParams.from_flat(flat.astype(np.float64), dim, hidden), fingerprint
-
-
-def save_model(path: str | Path, params: GcnParams, vocab_fingerprint: str = "") -> None:
-    Path(path).write_bytes(params_to_bytes(params, vocab_fingerprint))
-
-
-def load_model(path: str | Path) -> tuple[GcnParams, str]:
-    path = Path(path)
-    if not path.exists():
-        raise SchemaViolationError(f"model file not found: {path}")
-    return params_from_bytes(path.read_bytes())
-
-
-def params_fingerprint(params: GcnParams) -> str:
-    return hashlib.sha256(params_to_bytes(params)).hexdigest()

@@ -25,6 +25,7 @@ from .feature_extract import (
     EdgeTuple,
     LabelSet,
     NodeTuple,
+    RuleTable,
     extract_edges,
     extract_node_tuples,
 )
@@ -66,9 +67,6 @@ class Vocabulary:
     @property
     def dim(self) -> int:
         return int(self.embedding.shape[1])
-
-    def __len__(self) -> int:
-        return int(self.embedding.shape[0])
 
     def index(self, token: str) -> int:
         return self.word2idx.get(token, self.unk_index)
@@ -267,7 +265,8 @@ def build_graph(
 def optimize_graph(graph: ContractGraph, label_set: LabelSet) -> ContractGraph:
     """Prune nodes outside the label set, then drop components disconnected
     from the first surviving node. Idempotent; never adds nodes or edges.
-    A graph that loses no node is returned as it is, not copied."""
+    A graph that loses no node is returned as it is, not copied; callers
+    prune before `embed_nodes`, so a pruned graph carries no features."""
     surviving = [(t.n_type, t.category) in label_set for t in graph.tuples]
     if not any(surviving):
         raise EmptyGraphError("label set pruned every node")
@@ -300,15 +299,13 @@ def optimize_graph(graph: ContractGraph, label_set: LabelSet) -> ContractGraph:
         spans=[graph.spans[i] for i in keep],
         pairs=pairs[(pairs >= 0).all(axis=1)],
         edges=[e for e in graph.edges if e.e_s in keep_ids and e.e_e in keep_ids],
-        features=None if graph.features is None else graph.features[keep].copy(),
         label=graph.label,
     )
 
 
 def embed_nodes(graph: ContractGraph, vocab: Vocabulary) -> ContractGraph:
     rows = [vocab.index(token_for(t)) for t in graph.tuples]
-    features = vocab.embedding[rows].copy()
-    return replace(graph, features=features)
+    return replace(graph, features=vocab.embedding[rows])
 
 
 def normalize(graph: ContractGraph) -> NormalizedGraph:
@@ -343,7 +340,7 @@ def normalize(graph: ContractGraph) -> NormalizedGraph:
     )
 
 
-def build_contract_graph(tree: AstTree, rules=None) -> ContractGraph:
+def build_contract_graph(tree: AstTree, rules: RuleTable | None = None) -> ContractGraph:
     """extract tuples and edges from a tree and assemble the raw graph."""
     tuples = extract_node_tuples(tree, rules)
     edges = extract_edges(tree, tuples)

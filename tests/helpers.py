@@ -40,7 +40,7 @@ from statelens.graph_pipeline import (
     optimize_graph,
 )
 
-LABEL_PAIRS = sorted(label_set_from_rules().entries, key=lambda p: (p[0], p[1].value))
+LABEL_PAIRS = sorted(label_set_from_rules(), key=lambda p: (p[0], p[1].value))
 
 CONTROL_TYPES = {"IfStatement", "ForStatement", "WhileStatement"}
 
@@ -87,10 +87,8 @@ def dense_adjacency(graph: ContractGraph) -> np.ndarray:
 
 
 def random_label_subset(rng: np.random.Generator):
-    from statelens.feature_extract import LabelSet
-
     mask = rng.random(len(LABEL_PAIRS)) < 0.6
-    return LabelSet(entries=frozenset(p for p, keep in zip(LABEL_PAIRS, mask) if keep))
+    return frozenset(p for p, keep in zip(LABEL_PAIRS, mask) if keep)
 
 
 def brute_force_normalize(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

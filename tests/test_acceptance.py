@@ -99,7 +99,7 @@ def test_criterion_3_pruning_invariants():
         graph = random_contract_graph(rng, n_min=3, n_max=10)
         label_set = random_label_subset(rng)
         survivors = [
-            i for i, t in enumerate(graph.tuples) if (t.n_type, t.category) in label_set.entries
+            i for i, t in enumerate(graph.tuples) if (t.n_type, t.category) in label_set
         ]
         if not survivors:
             with pytest.raises(EmptyGraphError):

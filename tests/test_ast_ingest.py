@@ -182,7 +182,7 @@ def test_errors_come_in_recursive_build_order(members, message):
 
 
 def test_parser_records_each_nodes_parent(proxy_tree):
-    derived = AstTree(root_id=proxy_tree.root_id, nodes=proxy_tree.nodes).parents
+    derived = {child: node.id for node in proxy_tree.nodes.values() for child in node.children}
     assert proxy_tree.parents == derived
     assert len(derived) == len(proxy_tree) - 1
     assert all(child in proxy_tree.nodes[parent].children for child, parent in derived.items())
@@ -194,7 +194,7 @@ def test_validate_parse_output_is_clean(proxy_tree):
 
 def test_validate_dangling_child():
     node = AstNode(id=1, node_type="SourceUnit", name=None, attributes={}, src_span=(0, 0, 0), children=(99,))
-    tree = AstTree(root_id=1, nodes={1: node})
+    tree = AstTree(root_id=1, nodes={1: node}, parents={})
     diags = validate_tree(tree)
     assert [d.code for d in diags] == ["dangling-child"]
     assert diags[0].node_id == 1
@@ -203,7 +203,7 @@ def test_validate_dangling_child():
 def test_validate_duplicate_id():
     a = AstNode(id=7, node_type="SourceUnit", name=None, attributes={}, src_span=(0, 0, 0), children=(8,))
     b = AstNode(id=7, node_type="PragmaDirective", name=None, attributes={}, src_span=(0, 0, 0), children=())
-    tree = AstTree(root_id=7, nodes={7: a, 8: b})
+    tree = AstTree(root_id=7, nodes={7: a, 8: b}, parents={})
     duplicates = [d for d in validate_tree(tree) if d.code == "duplicate-id"]
     assert len(duplicates) == 1
     assert duplicates[0].node_id == 7
@@ -213,7 +213,7 @@ def test_validate_unreachable_and_multi_parent():
     root = AstNode(id=1, node_type="SourceUnit", name=None, attributes={}, src_span=(0, 0, 0), children=(2, 2))
     child = AstNode(id=2, node_type="ContractDefinition", name=None, attributes={}, src_span=(0, 0, 0), children=())
     orphan = AstNode(id=3, node_type="PragmaDirective", name=None, attributes={}, src_span=(0, 0, 0), children=())
-    tree = AstTree(root_id=1, nodes={1: root, 2: child, 3: orphan})
+    tree = AstTree(root_id=1, nodes={1: root, 2: child, 3: orphan}, parents={2: 1})
     codes = {d.code for d in validate_tree(tree)}
     assert "multiple-parents" in codes
     assert "unreachable-node" in codes
@@ -274,3 +274,6 @@ def test_parse_matches_random_document(doc):
     tree = parse_ast_json(json.dumps(doc))
     assert _signature(tree) == _document_signature(doc)
     assert validate_tree(tree) == []
+    # the invariant AstTree documents: `nodes` in preorder, `parents` from `children`
+    assert list(tree.nodes) == [n.id for n in subtree_preorder(tree, tree.root_id)]
+    assert tree.parents == {c: n.id for n in tree.nodes.values() for c in n.children}

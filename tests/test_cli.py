@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import statelens.cli
+import statelens.detector
 import statelens.gcn_core
 from statelens.cli import main
 from statelens.corpus import load_corpus, split_items
@@ -285,6 +286,44 @@ def test_threshold_bounds_are_inclusive(trained, corpus_dir):
     assert main([*argv, "--threshold", "1", target]) in (0, 1)
 
 
+@pytest.mark.parametrize(
+    "command,option,value,named",
+    [
+        ("gen", "--pairs", "0", "--pairs"),
+        ("train", "--seed", "-1", "--seed"),  # numpy's generators take no negative seed
+        ("train", "--epochs", "0", "--epochs"),
+        ("train", "--hidden", "0", "--hidden"),
+        ("train", "--dim", "0", "--dim"),
+        ("train", "--lr", "0", "--lr"),
+        ("train", "--lr", "nan", "--lr"),
+        ("train", "--lr", "inf", "--lr"),
+        ("train", "--l2", "-1", "--l2"),
+        ("train", "--l2", "inf", "--l2"),
+        ("train", "--folds", "1", "--folds"),
+        ("train", "--folds", "25", "too-small"),  # 24 usable contracts
+        ("detect", "--top-k", "-1", "--top-k"),
+    ],
+)
+def test_out_of_range_numeric_option_is_a_usage_error(
+    trained, corpus_dir, tmp_path, capsys, command, option, value, named
+):
+    model, vocab, out = tmp_path / "m.sgm", tmp_path / "v.json", tmp_path / "gen"
+    rest = {
+        "gen": ["--out", str(out)],
+        "train": ["--manifest", str(corpus_dir / "manifest.jsonl"), "--model", str(model), "--vocab", str(vocab)],
+        "detect": ["--model", str(trained["model"]), "--vocab", str(trained["vocab"]), str(corpus_dir / "pair0000_clean.ast.json")],
+    }[command]
+    try:
+        code = main([command, option, value, *rest])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err and "internal-error" not in captured.err
+    assert not model.exists() and not vocab.exists() and not out.exists()
+
+
 def test_detect_missing_model_exit_two(trained, corpus_dir, capsys):
     code = main(
         [
@@ -358,14 +397,14 @@ def test_detect_600_level_ast_gives_one_report(trained, tmp_path, capsys):
 
 
 def test_detect_hashes_the_model_once_per_call(trained, corpus_dir, capsys, monkeypatch):
-    original = statelens.gcn_core.params_fingerprint
+    original = statelens.detector.GcnModel.fingerprint
     hashed = []
 
-    def counting(params):
-        hashed.append(params)
-        return original(params)
+    def counting(model):
+        hashed.append(model)
+        return original(model)
 
-    monkeypatch.setattr(statelens.gcn_core, "params_fingerprint", counting)
+    monkeypatch.setattr(statelens.detector.GcnModel, "fingerprint", counting)
     paths = [str(p) for p in sorted(corpus_dir.glob("*.ast.json"))[:3]]
     argv = ["detect", "--model", str(trained["model"]), "--vocab", str(trained["vocab"])]
     assert main([*argv, *paths]) in (0, 1)
@@ -596,7 +635,7 @@ def test_non_utf8_rules_file_is_one_diagnostic_naming_it(trained, corpus_dir, tm
     captured = capsys.readouterr()
     assert captured.out == ""
     diagnostic = _single_error_line(captured.err)
-    assert diagnostic["code"] == "MalformedJsonError"
+    assert diagnostic["code"] == "SchemaViolationError"
     assert str(rules) in diagnostic["message"] and "byte 0" in diagnostic["message"]
     assert not model.exists() and not vocab.exists()
 
@@ -606,7 +645,7 @@ def test_model_and_vocab_width_mismatch_caught_at_load(
     trained, corpus_dir, tmp_path, capsys, monkeypatch, command
 ):
     narrow = tmp_path / "dim32.sgm"
-    statelens.gcn_core.save_model(narrow, statelens.gcn_core.init_params(32, 8, seed=0))
+    statelens.detector.GcnModel(statelens.gcn_core.init_params(32, 8, seed=0)).save(narrow)
 
     def never(*args, **kwargs):
         raise AssertionError("no input may be read after a width mismatch")

@@ -96,7 +96,7 @@ def test_load_record_missing_fields(tmp_path):
 
 
 def test_split_ten_items_nine_one():
-    train, test = split_items(list(range(10)), None, 0.9, seed=1)
+    train, test = split_items(list(range(10)), ["clean"] * 10, 0.9, seed=1)
     assert len(train) == 9 and len(test) == 1
 
 
@@ -140,14 +140,14 @@ def test_split_partition_property(n, fraction, seed):
 
 def test_split_rejects_bad_fraction():
     with pytest.raises(ValueError):
-        split_items([1, 2, 3], None, 1.0, 0)
+        split_items([1, 2, 3], ["clean"] * 3, 1.0, 0)
     with pytest.raises(ValueError):
-        split_items([1, 2, 3], None, 0.0, 0)
+        split_items([1, 2, 3], ["clean"] * 3, 0.0, 0)
 
 
 def test_split_too_small():
     with pytest.raises(TooSmallError):
-        split_items([1], None, 0.9, 0)
+        split_items([1], ["clean"], 0.9, 0)
 
 
 def test_kfold_indices_cover_everything():

@@ -88,7 +88,7 @@ def test_label_set_covers_rule_table():
     assert ("VariableDeclaration", DependencyCategory.DECLARATION) in label_set
     assert ("Identifier", DependencyCategory.DATA) in label_set
     assert ("Identifier", DependencyCategory.FUNCTION) in label_set
-    assert len(label_set.entries) == 21
+    assert len(label_set) == 21
 
 
 @given(
@@ -115,9 +115,9 @@ def test_default_rules_is_a_compiled_table_in_file_order():
     assert [r.pattern for r in table][:3] == ["Identifier", "Identifier", "VariableDeclaration"]
 
 
-def test_categorize_accepts_a_plain_rule_list():
-    rules = parse_rules("Identifier ref_kind=event -> Declaration\n")
-    assert RuleTable(rules).category("Identifier", {}, ref_kind="event") is DependencyCategory.DECLARATION
+def test_custom_rule_table_resolves_ref_kind():
+    rules = RuleTable(parse_rules("Identifier ref_kind=event -> Declaration\n"))
+    assert rules.category("Identifier", {}, ref_kind="event") is DependencyCategory.DECLARATION
     doc = (
         '{"id": 1, "nodeType": "SourceUnit", "nodes": [{"id": 2, "nodeType": "EventDefinition"}, '
         '{"id": 3, "nodeType": "Identifier", "referencedDeclaration": 2}]}'

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from statelens.detector import GcnModel
 from statelens.errors import SchemaViolationError, ShapeMismatchError
 from statelens.gcn_core import (
     ADAM_BETA1,
@@ -13,12 +14,9 @@ from statelens.gcn_core import (
     TrainConfig,
     forward,
     init_params,
-    load_model,
     loss_and_grads,
     optimizer_step,
-    params_fingerprint,
     params_to_bytes,
-    save_model,
 )
 from statelens.graph_pipeline import NormalizedGraph
 
@@ -433,21 +431,21 @@ def test_in_place_steps_equal_allocating_reference_bytes(optimizer, l2):
 
 
 def test_model_roundtrip(tmp_path):
-    params = random_params(np.random.default_rng(14), dim=5, hidden=3)
+    model = GcnModel(random_params(np.random.default_rng(14), dim=5, hidden=3), "abc123")
     path = tmp_path / "model.sgm"
-    save_model(path, params, vocab_fingerprint="abc123")
-    loaded, fingerprint = load_model(path)
-    assert fingerprint == "abc123"
+    model.save(path)
+    loaded = GcnModel.load(path)
+    assert loaded.vocab_fingerprint == "abc123"
     for name in NAMES:
-        assert np.array_equal(getattr(loaded, name), getattr(params, name))
-    assert params_fingerprint(loaded) == params_fingerprint(params)
+        assert np.array_equal(getattr(loaded.params, name), getattr(model.params, name))
+    assert loaded.fingerprint() == model.fingerprint()
 
 
 def test_model_roundtrip_minimal_shapes(tmp_path):
     params = random_params(np.random.default_rng(15), dim=1, hidden=1)
     path = tmp_path / "model.sgm"
-    save_model(path, params)
-    loaded, _ = load_model(path)
+    GcnModel(params).save(path)
+    loaded = GcnModel.load(path).params
     assert loaded.w1.shape == (1, 1)
     assert np.array_equal(loaded.w1, params.w1)
 
@@ -456,12 +454,12 @@ def test_model_bad_magic(tmp_path):
     path = tmp_path / "bad.sgm"
     path.write_bytes(b"XXXX" + b"\x00" * 32)
     with pytest.raises(SchemaViolationError):
-        load_model(path)
+        GcnModel.load(path)
 
 
 def test_model_missing_file(tmp_path):
-    with pytest.raises(SchemaViolationError, match="not found"):
-        load_model(tmp_path / "nope.sgm")
+    with pytest.raises(FileNotFoundError):
+        GcnModel.load(tmp_path / "nope.sgm")
 
 
 def test_fingerprint_changes_with_weights():
@@ -469,5 +467,5 @@ def test_fingerprint_changes_with_weights():
     a = random_params(rng, dim=2, hidden=2)
     b = GcnParams.from_flat(a.flat.copy(), a.dim, a.hidden)
     b.w1[0, 0] += 1e-9
-    assert params_fingerprint(a) != params_fingerprint(b)
+    assert GcnModel(a).fingerprint() != GcnModel(b).fingerprint()
     assert params_to_bytes(a) != params_to_bytes(b)

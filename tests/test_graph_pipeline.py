@@ -10,7 +10,6 @@ from statelens.feature_extract import (
     DependencyCategory,
     EdgeTuple,
     EdgeType,
-    LabelSet,
     NodeTuple,
     extract_node_tuples,
     label_set_from_rules,
@@ -57,7 +56,7 @@ def _tuple(n_id, n_type="Literal", category=DependencyCategory.EXPRESSION, name=
 def test_vocab_single_token_kind_has_size_two():
     docs = [[_tuple(1), _tuple(2)]]
     vocab = build_vocabulary(docs, dim=4, seed=0)
-    assert len(vocab) == 2  # UNK + "Literal:number"
+    assert vocab.embedding.shape[0] == 2  # UNK + "Literal:number"
     assert vocab.unk_index == 0
 
 
@@ -218,7 +217,7 @@ def _chain_graph() -> ContractGraph:
 
 def test_optimize_identity_with_full_label_set():
     graph = _chain_graph()
-    full = LabelSet(entries=frozenset((t.n_type, t.category) for t in graph.tuples))
+    full = frozenset((t.n_type, t.category) for t in graph.tuples)
     out = optimize_graph(graph, full)
     assert out.node_ids == graph.node_ids
     assert np.array_equal(dense_adjacency(out), dense_adjacency(graph))
@@ -237,18 +236,16 @@ def test_600_level_ast_gives_601_node_graph():
 
 def test_optimize_empty_label_set():
     with pytest.raises(EmptyGraphError):
-        optimize_graph(_chain_graph(), LabelSet(entries=frozenset()))
+        optimize_graph(_chain_graph(), frozenset())
 
 
 def test_optimize_chain_keeps_first_component():
     graph = _chain_graph()
-    without_b = LabelSet(
-        entries=frozenset(
-            {
-                ("VariableDeclaration", DependencyCategory.DECLARATION),
-                ("IfStatement", DependencyCategory.CONTROL),
-            }
-        )
+    without_b = frozenset(
+        {
+            ("VariableDeclaration", DependencyCategory.DECLARATION),
+            ("IfStatement", DependencyCategory.CONTROL),
+        }
     )
     out = optimize_graph(graph, without_b)
     assert out.node_ids == [1]  # {a, c} survive pruning; DFS keeps a's component
@@ -262,7 +259,7 @@ def test_optimize_survivors_match_brute_force():
         graph = random_contract_graph(rng)
         label_set = random_label_subset(rng)
         survivors = [
-            i for i, t in enumerate(graph.tuples) if (t.n_type, t.category) in label_set.entries
+            i for i, t in enumerate(graph.tuples) if (t.n_type, t.category) in label_set
         ]
         if not survivors:
             with pytest.raises(EmptyGraphError):
