@@ -3,8 +3,9 @@
 Exit codes: 0 success (and no defects for `detect`), 1 at least one
 defective contract (`detect` only), 2 operational error (bad paths,
 unreadable input, mismatched model/vocabulary, or any unexpected exception,
-reported as one `internal-error` diagnostic), 3 degenerate training
-corpus. Diagnostics go to stderr as JSON lines; results go to stdout.
+reported as one `internal-error` diagnostic; a training run that diverges,
+reported as one `diverged` diagnostic, writes nothing), 3 degenerate
+training corpus. Diagnostics go to stderr as JSON lines; results go to stdout.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
     DegenerateCorpusError,
     EmptyGraphError,
     StateLensError,
+    TrainingDivergedError,
 )
 from .feature_extract import RuleTable, default_rules, label_set_from_rules, load_rules
 from .gcn_core import TrainConfig
@@ -182,6 +184,9 @@ def cmd_train(args) -> int:
     except DegenerateCorpusError as exc:
         _diagnostic(code="degenerate-corpus", message=str(exc))
         return 3
+    except TrainingDivergedError as exc:  # nothing is written
+        _diagnostic(code="diverged", message=str(exc))
+        return 2
     model.save(args.model)
     save_vocabulary(args.vocab, vocab)
     log.info("model written to %s, vocabulary to %s", args.model, args.vocab)

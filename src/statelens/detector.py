@@ -16,6 +16,7 @@ from .errors import (
     DegenerateCorpusError,
     EmptyCorpusError,
     EmptyTestSetError,
+    TrainingDivergedError,
 )
 from .gcn_core import (
     DEFECTIVE,
@@ -158,6 +159,7 @@ def evaluate(
     return Metrics.from_counts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
+@np.errstate(all="ignore")  # a run that diverges is stopped below, not warned about
 def train(
     train_graphs: Sequence[NormalizedGraph],
     test_graphs: Sequence[NormalizedGraph],
@@ -166,7 +168,8 @@ def train(
 ) -> tuple[GcnModel, list[EpochStats]]:
     """Per-graph gradient steps over `train_graphs`; after each epoch, the
     mean training loss and the metrics on `test_graphs`. Both sides together
-    need labels and both classes. Deterministic for a fixed seed."""
+    need labels and both classes. Deterministic for a fixed seed. Raises
+    TrainingDivergedError once an epoch ends with a non-finite loss or weight."""
     if not train_graphs:
         raise EmptyCorpusError("training corpus is empty")
     labels = [g.label for g in [*train_graphs, *test_graphs]]
@@ -199,6 +202,8 @@ def train(
             )
             optimizer_step(state, params, grads, config)
             total_loss += loss
+        if not (np.isfinite(total_loss) and np.isfinite(params.flat).all()):
+            raise TrainingDivergedError(f"epoch {epoch} ended with a loss or a weight not finite")
         history.append(
             EpochStats(
                 epoch=epoch,
@@ -224,9 +229,9 @@ def _top_nodes(
     if k <= 0:
         return []
     node_logits = trace.h2 @ model.params.w_out + model.params.b_out
-    salience = node_logits[:, DEFECTIVE]
+    salience = node_logits[:, DEFECTIVE].tolist()  # Python floats: cheap to compare
     order = sorted(range(graph.n), key=lambda i: (-salience[i], i))[:k]
-    return [ReportNode(graph.node_ids[i], graph.spans[i], float(salience[i])) for i in order]
+    return [ReportNode(graph.node_ids[i], graph.spans[i], salience[i]) for i in order]
 
 
 @dataclass

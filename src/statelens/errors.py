@@ -39,6 +39,10 @@ class DegenerateCorpusError(StateLensError):
     """Training corpus contains only one class."""
 
 
+class TrainingDivergedError(StateLensError):
+    """Training reached a loss or a weight that is not finite."""
+
+
 class EmptyTestSetError(StateLensError):
     """Evaluation was asked to run on an empty test set."""
 

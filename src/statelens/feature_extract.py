@@ -43,7 +43,9 @@ class EdgeType(Enum):
 _NO_SELF_LOOP = frozenset({EdgeType.DATA_DEP, EdgeType.FUNC_CALL, EdgeType.DECL_REF})
 
 
-@dataclass(frozen=True)
+# One NodeTuple per graph node, one EdgeTuple per edge: slotted, not frozen,
+# since a frozen dataclass sets each field through object.__setattr__.
+@dataclass(slots=True)
 class NodeTuple:
     n_id: int
     n_name: str
@@ -52,7 +54,7 @@ class NodeTuple:
     category: DependencyCategory
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EdgeTuple:
     e_s: int
     e_e: int

@@ -331,4 +331,6 @@ def params_from_bytes(blob: bytes) -> tuple[GcnParams, str]:
     except UnicodeDecodeError as exc:
         raise SchemaViolationError(f"model vocabulary fingerprint is not UTF-8: {exc}") from None
     flat = np.frombuffer(blob, dtype="<f8", count=count, offset=_HEADER_END + fp_len)
+    if not np.isfinite(flat).all():
+        raise SchemaViolationError("model holds a weight that is not finite")
     return GcnParams.from_flat(flat.astype(np.float64), dim, hidden), fingerprint

@@ -270,6 +270,11 @@ def optimize_graph(graph: ContractGraph, label_set: LabelSet) -> ContractGraph:
     surviving = [(t.n_type, t.category) in label_set for t in graph.tuples]
     if not any(surviving):
         raise EmptyGraphError("label set pruned every node")
+    # When every node survives and each but the first is the larger end of a
+    # link (pairs are i < j), all of them reach node 0: the walk keeps them all.
+    larger_ends = np.count_nonzero(np.bincount(graph.pairs[:, 1], minlength=1))
+    if all(surviving) and larger_ends == graph.n - 1:
+        return graph
 
     neighbors: list[list[int]] = [[] for _ in range(graph.n)]
     for i, j in graph.pairs.tolist():
@@ -332,7 +337,7 @@ def normalize(graph: ContractGraph) -> NormalizedGraph:
         # the same product as the dense (1.0 * inv_sqrt[r]) * inv_sqrt[c]
         s_hat = SparseOperator(n, rows, cols, inv_sqrt[rows] * inv_sqrt[cols])
     return NormalizedGraph(
-        features=graph.features.copy(),
+        features=graph.features,  # embed_nodes made it; no copy
         s_hat=s_hat,
         node_ids=list(graph.node_ids),
         spans=list(graph.spans),

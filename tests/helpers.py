@@ -19,6 +19,7 @@ from statelens.feature_extract import (
     label_set_from_rules,
 )
 from statelens.ast_ingest import AstTree
+from statelens.errors import EmptyGraphError
 from statelens.gcn_core import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -89,6 +90,44 @@ def dense_adjacency(graph: ContractGraph) -> np.ndarray:
 def random_label_subset(rng: np.random.Generator):
     mask = rng.random(len(LABEL_PAIRS)) < 0.6
     return frozenset(p for p, keep in zip(LABEL_PAIRS, mask) if keep)
+
+
+def reference_optimize_graph(graph: ContractGraph, label_set) -> ContractGraph:
+    """`optimize_graph` as a prune and a walk with no shortcut: nodes outside
+    the label set go, then every survivor the walk over neighbour lists from
+    the first survivor does not reach. `graph` itself when no node goes."""
+    surviving = [(t.n_type, t.category) in label_set for t in graph.tuples]
+    if not any(surviving):
+        raise EmptyGraphError("label set pruned every node")
+    neighbors: list[list[int]] = [[] for _ in range(graph.n)]
+    for i, j in graph.pairs.tolist():
+        if surviving[i] and surviving[j]:
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+    start = surviving.index(True)
+    in_component = {start}
+    stack = [start]
+    while stack:
+        for j in neighbors[stack.pop()]:
+            if j not in in_component:
+                in_component.add(j)
+                stack.append(j)
+    keep = sorted(in_component)
+    if len(keep) == graph.n:
+        return graph
+    keep_ids = {graph.node_ids[i] for i in keep}
+    remap = {old: new for new, old in enumerate(keep)}
+    return ContractGraph(
+        node_ids=[graph.node_ids[i] for i in keep],
+        tuples=[graph.tuples[i] for i in keep],
+        spans=[graph.spans[i] for i in keep],
+        pairs=np.array(
+            [(remap[i], remap[j]) for i, j in graph.pairs.tolist() if i in remap and j in remap],
+            dtype=np.int64,
+        ).reshape(-1, 2),
+        edges=[e for e in graph.edges if e.e_s in keep_ids and e.e_e in keep_ids],
+        label=graph.label,
+    )
 
 
 def brute_force_normalize(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -316,6 +355,50 @@ def walk_json_nodes(obj):
     elif isinstance(obj, list):
         for item in obj:
             yield from walk_json_nodes(item)
+
+
+def reference_node_fields(obj: dict) -> tuple[dict[str, str], tuple[int, ...]]:
+    """The attributes and child ids `parse_ast_json` must give one node
+    object, by the flattening rules written out in full. Each value under a
+    key other than id, nodeType, name and src is walked:
+    - an object with a `nodeType` is a child;
+    - a plain object's entries are walked under `key.subkey`;
+    - a list's objects and lists are walked under the same key, in order,
+      and then its non-null scalars, joined by spaces, become that key's
+      value (if it has any);
+    - any other non-null scalar is its text, booleans as `true`/`false`.
+    A later write to a key replaces an earlier one."""
+    attrs: dict[str, str] = {}
+    children: list[int] = []
+
+    def text(value) -> str:
+        if value is True or value is False:
+            return "true" if value else "false"
+        return str(value)
+
+    def visit(value, key: str) -> None:
+        if isinstance(value, dict):
+            if "nodeType" in value:
+                children.append(value["id"])
+            else:
+                for sub_key, sub_value in value.items():
+                    visit(sub_value, f"{key}.{sub_key}")
+        elif isinstance(value, list):
+            for item in value:
+                if isinstance(item, (dict, list)):
+                    visit(item, key)
+            words = [
+                text(item) for item in value if item is not None and not isinstance(item, (dict, list))
+            ]
+            if words:
+                attrs[key] = " ".join(words)
+        elif value is not None:
+            attrs[key] = text(value)
+
+    for key, value in obj.items():
+        if key not in ("id", "nodeType", "name", "src"):
+            visit(value, key)
+    return attrs, tuple(children)
 
 
 def json_shape(obj) -> tuple:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from statelens.ast_ingest import AstNode, AstTree, parse_ast_json, subtree_preorder, validate_tree
 from statelens.errors import EmptyDocumentError, MalformedJsonError, SchemaViolationError
 
-from helpers import nested_ast_json, walk_json_nodes
+from helpers import nested_ast_json, reference_node_fields, walk_json_nodes
 
 MINIMAL = '{"id": 1, "nodeType": "SourceUnit", "nodes": [{"id": 2, "nodeType": "ContractDefinition", "name": "C"}]}'
 
@@ -277,3 +277,69 @@ def test_parse_matches_random_document(doc):
     # the invariant AstTree documents: `nodes` in preorder, `parents` from `children`
     assert list(tree.nodes) == [n.id for n in subtree_preorder(tree, tree.root_id)]
     assert tree.parents == {c: n.id for n in tree.nodes.values() for c in n.children}
+
+
+# ---------------------------------------------------------------------------
+# Flattening property: attributes and children of every node, for attribute
+# values of every JSON shape, match the rules written out in helpers.
+# ---------------------------------------------------------------------------
+
+_SCALARS = st.one_of(
+    st.integers(-3, 3), st.booleans(), st.none(), st.floats(-2, 2), st.text("ab ", max_size=3)
+)
+_ATTRIBUTE_KEYS = st.sampled_from(["nodes", "body", "value", "typeDescriptions", "k"])
+
+
+@st.composite
+def _node_object(draw, depth: int) -> dict:
+    obj = {"nodeType": draw(st.sampled_from(_TYPES))}
+    if draw(st.booleans()):
+        obj["name"] = draw(st.text("xy", min_size=1, max_size=3))
+    for key in draw(st.lists(_ATTRIBUTE_KEYS, max_size=3, unique=True)):
+        obj[key] = draw(_json_value(depth + 1))
+    return obj
+
+
+@st.composite
+def _json_value(draw, depth: int):
+    """Scalars, node objects, lists of node objects only (empty too), and
+    plain objects or lists that mix node objects, scalars, plain objects and
+    nested lists."""
+    kinds = ["scalar", "scalar list"]
+    if depth < 4:
+        kinds += ["node", "node list", "mixed list", "plain"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "scalar":
+        return draw(_SCALARS)
+    if kind == "scalar list":
+        return draw(st.lists(_SCALARS, max_size=3))
+    if kind == "node":
+        return draw(_node_object(depth))
+    if kind == "node list":
+        return draw(st.lists(_node_object(depth), max_size=3))
+    if kind == "mixed list":
+        return draw(st.lists(_json_value(depth + 1), min_size=1, max_size=4))
+    plain_keys = st.sampled_from(["a", "b", "id"])  # "id" is reserved only on a node object
+    return draw(st.dictionaries(plain_keys, _json_value(depth + 1), max_size=3))
+
+
+@st.composite
+def attribute_docs(draw) -> dict:
+    """A document whose nodes carry attribute values of every JSON shape;
+    ids are numbered in document order once it is drawn."""
+    doc = json.loads(json.dumps(draw(_node_object(0))))  # no object appears twice
+    for number, obj in enumerate(list(walk_json_nodes(doc)), start=1):
+        obj["id"] = number
+    return doc
+
+
+@given(attribute_docs())
+@settings(max_examples=100, deadline=None)
+def test_parse_flattens_attributes_like_the_reference(doc):
+    tree = parse_ast_json(json.dumps(doc))
+    objs = list(walk_json_nodes(doc))
+    assert list(tree.nodes) == [obj["id"] for obj in objs]
+    for obj in objs:
+        node = tree.nodes[obj["id"]]
+        assert (node.attributes, node.children) == reference_node_fields(obj)
+        assert node.name == obj.get("name")

@@ -1,5 +1,8 @@
 import json
+import math
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -707,3 +710,40 @@ def test_train_logs_no_epochs_at_the_default_level(corpus_dir, tmp_path, capsys,
     assert main(_train_argv(corpus_dir, tmp_path, "--epochs", "3")) == 0
     assert capsys.readouterr().err == ""
     assert built == []
+
+
+@pytest.mark.parametrize("extra", [[], ["--folds", "3"]], ids=["split", "folds"])
+def test_diverging_train_is_one_diagnostic_and_writes_nothing(corpus_dir, tmp_path, extra):
+    """A learning rate that overflows the weights ends `train` with one
+    `diverged` diagnostic and exit 2. Run in a fresh interpreter, where a
+    numpy warning would print to stderr as it does for a user."""
+    argv = _train_argv(corpus_dir, tmp_path, "--lr", "1e300", "--epochs", "2", *extra)
+    run = subprocess.run(
+        [sys.executable, "-m", "statelens.cli", *argv], capture_output=True, text=True, check=False
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert _single_error_line(run.stderr)["code"] == "diverged"
+    assert not (tmp_path / "m.sgm").exists() and not (tmp_path / "v.json").exists()
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf])
+@pytest.mark.parametrize("command", ["detect", "eval"])
+def test_model_with_a_non_finite_weight_is_refused(
+    trained, corpus_dir, tmp_path, capsys, command, weight
+):
+    model = statelens.detector.GcnModel.load(trained["model"])
+    model.params.flat[5] = weight
+    bad = tmp_path / "bad.sgm"
+    model.save(bad)
+    argv = [command, "--model", str(bad), "--vocab", str(trained["vocab"])]
+    if command == "detect":
+        argv.append(str(corpus_dir / "pair0000_defective.ast.json"))
+    else:
+        argv += ["--manifest", str(corpus_dir / "manifest.jsonl")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diagnostic = _single_error_line(captured.err)
+    assert diagnostic["code"] == "SchemaViolationError"
+    assert "not finite" in diagnostic["message"]

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statelens import detector as det
-from statelens.ast_ingest import parse_ast_json
+from statelens.ast_ingest import AstNode, parse_ast_json
+from statelens.corpus import synth_generate
 from statelens.errors import EmptyCorpusError, EmptyGraphError, ShapeMismatchError
 from statelens.feature_extract import (
     DependencyCategory,
@@ -41,6 +44,7 @@ from helpers import (
     random_label_subset,
     random_params,
     random_tree_graph,
+    reference_optimize_graph,
 )
 
 
@@ -304,6 +308,57 @@ def test_optimize_never_adds():
         assert set(out.node_ids) <= set(graph.node_ids)
         assert len(out.edges) <= len(graph.edges)
         assert dense_adjacency(out).sum() <= dense_adjacency(graph).sum()
+
+
+def _assert_prunes_like_the_reference(graph: ContractGraph, label_set) -> None:
+    """`optimize_graph` gives what the shortcut-free prune and walk gives,
+    and returns its input itself exactly when it keeps every node."""
+    try:
+        expected = reference_optimize_graph(graph, label_set)
+    except EmptyGraphError:
+        with pytest.raises(EmptyGraphError):
+            optimize_graph(graph, label_set)
+        return
+    out = optimize_graph(graph, label_set)
+    assert out.node_ids == expected.node_ids
+    assert out.tuples == expected.tuples
+    assert out.spans == expected.spans
+    assert np.array_equal(out.pairs, expected.pairs) and out.pairs.shape == expected.pairs.shape
+    assert out.edges == expected.edges
+    assert (out is graph) == (out.n == graph.n)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    edge_p=st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]),
+    tree=st.booleans(),
+    every_label=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_optimize_matches_the_reference_walk(seed, edge_p, tree, every_label):
+    """Connected and disconnected random graphs, under every label or a
+    random subset of them."""
+    rng = np.random.default_rng(seed)
+    if tree:
+        graph = random_tree_graph(rng, int(rng.integers(1, 15)))
+    else:
+        graph = random_contract_graph(rng, n_min=1, n_max=12, edge_p=edge_p)
+    label_set = label_set_from_rules() if every_label else random_label_subset(rng)
+    _assert_prunes_like_the_reference(graph, label_set)
+
+
+@given(seed=st.integers(0, 10**6), every_label=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_optimize_matches_the_reference_walk_on_generated_contracts(seed, every_label):
+    rng = np.random.default_rng(seed)
+    label_set = label_set_from_rules() if every_label else random_label_subset(rng)
+    for contract in synth_generate(1, seed=seed):
+        _assert_prunes_like_the_reference(build_contract_graph(contract.tree), label_set)
+
+
+def test_per_node_records_are_slotted():
+    for record in (AstNode, NodeTuple, EdgeTuple):
+        assert "__slots__" in vars(record), record.__name__
 
 
 # ---------------------------------------------------------------------------
