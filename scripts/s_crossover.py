@@ -15,8 +15,19 @@ Run it with one BLAS thread, as the benchmark does:
 
 Each figure is the median of 7 timing runs, in microseconds.
 `graph_pipeline.DENSE_MAX_NODES` is set from this table.
+
+With `--blocks` it instead sweeps `graph_pipeline.SPARSE_BLOCK_ELEMENTS`, the
+budget of one block of a sparse S @ X, on one graph of n nodes (default
+2560, the size of a merged benchmark unit), and prints per product the
+median time in microseconds and the minor page faults (from
+`resource.getrusage`) over 30 products in this process:
+
+    OPENBLAS_NUM_THREADS=1 python3 scripts/s_crossover.py --blocks [n]
+
+The last row, `one block`, is a budget that holds every entry at once.
 """
 
+import resource
 import sys
 import time
 from pathlib import Path
@@ -29,6 +40,7 @@ from statelens import graph_pipeline as gp
 from statelens.gcn_core import forward, init_params
 
 DEFAULT_SIZES = (1024, 512, 384, 320, 256, 224, 192, 160, 128, 64)
+BLOCK_BUDGETS = (1 << 12, 1 << 13, 1 << 14, 1 << 15, 1 << 16, 1 << 17, 1 << 18, 1 << 20)
 DIM, HIDDEN = 64, 32
 
 
@@ -56,7 +68,29 @@ def median_us(fn, reps: int) -> float:
     return sorted(runs)[3] * 1e6
 
 
+def sweep_blocks(n: int) -> None:
+    graph = random_graph(np.random.default_rng(5), n)
+    gp.DENSE_MAX_NODES = n - 1
+    s_hat = gp.normalize(graph).s_hat
+    entries = len(s_hat.data)
+    print(f"n = {n}, {entries} stored entries, d = {DIM}")
+    print(f"{'budget':>10} | {'us/product':>10} {'faults/product':>14}")
+    for budget in (*BLOCK_BUDGETS, entries * DIM):
+        gp.SPARSE_BLOCK_ELEMENTS = budget
+        times, faults = [], resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(30):
+            start = time.perf_counter()
+            s_hat @ graph.features
+            times.append(time.perf_counter() - start)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        label = "one block" if budget == entries * DIM else str(budget)
+        print(f"{label:>10} | {sorted(times)[15] * 1e6:10.1f} {faults / 30:14.1f}")
+
+
 def main() -> int:
+    if sys.argv[1:2] == ["--blocks"]:
+        sweep_blocks(int(sys.argv[2]) if len(sys.argv) > 2 else 2560)
+        return 0
     sizes = [int(v) for v in sys.argv[1:]] or DEFAULT_SIZES
     rng = np.random.default_rng(5)
     params = init_params(DIM, HIDDEN, 0)

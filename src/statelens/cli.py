@@ -11,14 +11,17 @@ training corpus. Diagnostics go to stderr as JSON lines; results go to stdout.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import math
 import os
 import sys
 import traceback
+from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import detector as det
 from .ast_ingest import parse_ast_json, read_document
@@ -41,6 +44,7 @@ from .graph_pipeline import (
     normalize,
     optimize_graph,
     save_vocabulary,
+    token_for,
 )
 
 log = logging.getLogger("statelens")
@@ -216,7 +220,40 @@ def _load_model_and_vocab(args) -> tuple[det.GcnModel, Vocabulary] | None:
     return model, vocab
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Hold off the cyclic garbage collector; resume it only if it ran before."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _detect_one(path: str, args, model, vocab, rules, label_set, fingerprint) -> det.DetectionReport:
+    """One file, read to report. Its some 20k containers are acyclic and die by
+    reference count on return; the collector would walk them and find nothing."""
+    tree = parse_ast_json(read_document(path), source_unit=str(path))
+    graph = optimize_graph(build_contract_graph(tree, rules), label_set)
+    normalized = normalize(embed_nodes(graph, vocab))
+    return det.build_report(model, normalized, contract=str(path), threshold=args.threshold,
+                            k=args.top_k, model_fingerprint=fingerprint)
+
+
+def _report_name(path: str) -> str:
+    return Path(path).stem + ".report.json"
+
+
 def cmd_detect(args) -> int:
+    out_dir = Path(args.out_dir) if args.out_dir else None
+    if out_dir is not None:  # refuse before any input is read or report written
+        names = Counter(map(_report_name, args.paths))
+        if clashing := [p for p in args.paths if names[_report_name(p)] > 1]:
+            message = "inputs would overwrite each other's report: " + ", ".join(clashing)
+            _diagnostic(path=str(out_dir), code="report-name-collision", message=message)
+            return 2
     loaded = _load_model_and_vocab(args)
     if loaded is None:
         return 2
@@ -224,7 +261,6 @@ def cmd_detect(args) -> int:
     rules = _load_rule_table(args.rules)
     label_set = label_set_from_rules(rules)
     fingerprint = model.fingerprint()
-    out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -232,17 +268,10 @@ def cmd_detect(args) -> int:
     any_failure = False
     for path in args.paths:
         try:
-            tree = parse_ast_json(read_document(path), source_unit=str(path))
-            graph = optimize_graph(build_contract_graph(tree, rules), label_set)
-            normalized = normalize(embed_nodes(graph, vocab))
-            report = det.build_report(
-                model,
-                normalized,
-                contract=str(path),
-                threshold=args.threshold,
-                k=args.top_k,
-                model_fingerprint=fingerprint,
-            )
+            # Paused per file, not per call: a failed file leaves a cycle
+            # (traceback, frames, document text) that must not live on.
+            with _collector_paused():
+                report = _detect_one(path, args, model, vocab, rules, label_set, fingerprint)
         except OSError as exc:
             _diagnostic(path=str(path), code="io-error", message=str(exc))
             any_failure = True
@@ -252,17 +281,14 @@ def cmd_detect(args) -> int:
             any_failure = True
             continue
         any_defective = any_defective or report.verdict == "defective"
-        rendered = (
-            json.dumps(report.to_json_dict(), sort_keys=True)
-            if args.format == "json"
-            else report.to_text() + "\n"
-        )
         if out_dir is not None:
-            (out_dir / (Path(path).stem + ".report.json")).write_text(
+            (out_dir / _report_name(path)).write_text(
                 json.dumps(report.to_json_dict(), sort_keys=True, indent=2), "utf-8"
             )
+        elif args.format == "json":
+            print(json.dumps(report.to_json_dict(), sort_keys=True))
         else:
-            print(rendered)
+            print(report.to_text() + "\n")
     if any_failure:
         return 2
     return 1 if any_defective else 0
@@ -318,8 +344,6 @@ def cmd_inspect(args) -> int:
             "edge_types": edge_types,
         }
         if vocab is not None:
-            from .graph_pipeline import token_for
-
             known = sum(1 for t in graph.tuples if token_for(t) in vocab.word2idx)
             stats["vocab_coverage"] = known / graph.n
         print(json.dumps(stats, sort_keys=True))

@@ -229,9 +229,10 @@ def _top_nodes(
     if k <= 0:
         return []
     node_logits = trace.h2 @ model.params.w_out + model.params.b_out
-    salience = node_logits[:, DEFECTIVE].tolist()  # Python floats: cheap to compare
-    order = sorted(range(graph.n), key=lambda i: (-salience[i], i))[:k]
-    return [ReportNode(graph.node_ids[i], graph.spans[i], salience[i]) for i in order]
+    salience = node_logits[:, DEFECTIVE]
+    order = np.argsort(-salience, kind="stable")[:k].tolist()  # ties by index
+    scores = salience[order].tolist()
+    return [ReportNode(graph.node_ids[i], graph.spans[i], s) for i, s in zip(order, scores)]
 
 
 @dataclass

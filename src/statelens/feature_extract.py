@@ -28,6 +28,7 @@ class DependencyCategory(Enum):
     CONTROL = "Control"
     DATA = "Data"
     FUNCTION = "Function"
+    __hash__ = object.__hash__  # members are singletons; Enum's __hash__ is Python code
 
 
 class EdgeType(Enum):

@@ -167,14 +167,21 @@ def link_pairs(n: int, links: Iterable[tuple[int, int]]) -> np.ndarray:
     return pairs
 
 
+# Entry x column elements per block of a sparse S @ H: each block's two
+# temporaries (256 KB) come from the heap, not from fresh pages that fault in
+# and are trimmed away again. Swept with `scripts/s_crossover.py --blocks`.
+SPARSE_BLOCK_ELEMENTS = 1 << 15
+
+
 class SparseOperator:
     """A sparse n x n matrix, its nonzero entries stored row by row, that
     numpy code can use where it would use the dense array: `shape`, `ndim`,
     `nbytes`, and `S @ H` for a dense n x d matrix H.
 
     The product is a segment sum: stored entry k adds
-    `data[k] * H[indices[k]]` to row `rows[k]`, all rows at once through one
-    flattened `np.bincount`.
+    `data[k] * H[indices[k]]` to row `rows[k]`, through one flattened
+    `np.bincount` per block of whole rows. Every output element sums the
+    same entries in the same order whatever the blocking.
     """
 
     ndim = 2
@@ -184,20 +191,32 @@ class SparseOperator:
         self.rows = rows  # row of each stored entry, nondecreasing
         self.indices = indices  # column of each stored entry
         self.data = data
+        self.row_ptr = np.searchsorted(rows, np.arange(n + 1))  # row r: row_ptr[r]:row_ptr[r + 1]
 
     @property
     def nbytes(self) -> int:
-        return self.rows.nbytes + self.indices.nbytes + self.data.nbytes
+        return self.rows.nbytes + self.indices.nbytes + self.data.nbytes + self.row_ptr.nbytes
 
     def __matmul__(self, h: np.ndarray) -> np.ndarray:
         n = self.shape[0]
         if h.ndim != 2 or h.shape[0] != n:
             raise ShapeMismatchError(f"operator {self.shape} cannot multiply {h.shape}")
         d = h.shape[1]
-        weighted = h[self.indices]
-        weighted *= self.data[:, None]  # in place: one nnz x d temporary fewer
-        slots = self.rows[:, None] * d + np.arange(d)
-        return np.bincount(slots.ravel(), weights=weighted.ravel(), minlength=n * d).reshape(n, d)
+        out = np.empty((n, d))
+        ptr, columns = self.row_ptr, np.arange(d)
+        per_block = max(1, SPARSE_BLOCK_ELEMENTS // max(d, 1))  # stored entries
+        start = 0
+        while start < n:  # the most whole rows within budget; a row over it goes alone
+            first = ptr[start]
+            stop = max(start + 1, int(np.searchsorted(ptr, first + per_block, "right")) - 1)
+            entries = slice(first, ptr[stop])
+            weighted = h[self.indices[entries]]
+            weighted *= self.data[entries, None]  # in place: one temporary fewer
+            slots = (self.rows[entries, None] - start) * d + columns
+            sums = np.bincount(slots.ravel(), weights=weighted.ravel(), minlength=(stop - start) * d)
+            out[start:stop] = sums.reshape(stop - start, d)
+            start = stop
+        return out
 
 
 # Graphs with more nodes than this get S as a SparseOperator, smaller ones as

@@ -25,6 +25,8 @@ from statelens.gcn_core import (
     ADAM_BETA2,
     ADAM_EPS,
     CLASSES,
+    DEFECTIVE,
+    ForwardTrace,
     GcnParams,
     OptimizerState,
     TrainConfig,
@@ -34,6 +36,7 @@ from statelens.gcn_core import (
 from statelens.graph_pipeline import (
     ContractGraph,
     NormalizedGraph,
+    SparseOperator,
     Vocabulary,
     build_contract_graph,
     embed_nodes,
@@ -177,6 +180,27 @@ def normalized_contract(tree: AstTree, vocab: Vocabulary, label: str | None = No
     graph = optimize_graph(build_contract_graph(tree), label_set_from_rules())
     graph.label = label
     return normalize(embed_nodes(graph, vocab))
+
+
+def one_shot_sparse_matmul(s: SparseOperator, h: np.ndarray) -> np.ndarray:
+    """S @ H as one flattened bincount over every stored entry at once: the
+    unblocked segment sum the blocked `SparseOperator.__matmul__` must match
+    bit for bit."""
+    n, d = s.shape[0], h.shape[1]
+    weighted = h[s.indices]
+    weighted *= s.data[:, None]
+    slots = s.rows[:, None] * d + np.arange(d)
+    return np.bincount(slots.ravel(), weights=weighted.ravel(), minlength=n * d).reshape(n, d)
+
+
+def reference_top_nodes(
+    model: GcnModel, graph: NormalizedGraph, trace: ForwardTrace, k: int
+) -> list[tuple[int, tuple[int, int, int], float]]:
+    """(node id, span, salience) of the top-k nodes by a Python sort on the
+    key (-salience, index): ties go to the earlier node."""
+    salience = (trace.h2 @ model.params.w_out + model.params.b_out)[:, DEFECTIVE].tolist()
+    order = sorted(range(graph.n), key=lambda i: (-salience[i], i))[:k]
+    return [(graph.node_ids[i], graph.spans[i], salience[i]) for i in order]
 
 
 def random_params(rng: np.random.Generator, dim: int, hidden: int, scale=1.0) -> GcnParams:

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import struct
@@ -244,6 +245,62 @@ def test_detect_out_dir_writes_reports(trained, corpus_dir, tmp_path):
     written = list(reports.glob("*.report.json"))
     assert len(written) == 1
     assert json.loads(written[0].read_text())["verdict"] == "defective"
+
+
+def test_detect_out_dir_refuses_inputs_sharing_a_report_name(trained, corpus_dir, tmp_path, capsys):
+    source = corpus_dir / "pair0002_defective.ast.json"
+    inputs = []
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        inputs.append(tmp_path / side / "x.ast.json")
+        inputs[-1].write_bytes(source.read_bytes())
+    reports = tmp_path / "reports"
+    argv = ["detect", "--model", str(trained["model"]), "--vocab", str(trained["vocab"])]
+    code = main([*argv, "--out-dir", str(reports), str(inputs[0]), str(source), str(inputs[1])])
+    assert code == 2
+    captured = capsys.readouterr()
+    diagnostic = _single_error_line(captured.err)
+    assert diagnostic["code"] == "report-name-collision"
+    assert str(inputs[0]) in diagnostic["message"] and str(inputs[1]) in diagnostic["message"]
+    assert str(source) not in diagnostic["message"]
+    assert captured.out == "" and not reports.exists()
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_detect_pauses_the_collector_for_each_file(trained, corpus_dir, tmp_path, monkeypatch, caller_enabled):
+    seen = []
+
+    def recording(original, event):
+        def call(*args, **kwargs):
+            seen.append((event, gc.isenabled()))
+            return original(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(statelens.cli, "parse_ast_json", recording(statelens.cli.parse_ast_json, "parse"))
+    monkeypatch.setattr(statelens.cli, "_diagnostic", recording(statelens.cli._diagnostic, "failed"))
+    report_class = statelens.detector.DetectionReport
+    monkeypatch.setattr(report_class, "to_json_dict", recording(report_class.to_json_dict, "reported"))
+    bad = tmp_path / "bad.ast.json"
+    bad.write_text("{}")
+    good = [str(corpus_dir / f"pair000{i}_clean.ast.json") for i in (0, 1)]
+    argv = ["detect", "--model", str(trained["model"]), "--vocab", str(trained["vocab"])]
+    was_enabled = gc.isenabled()
+    if not caller_enabled:
+        gc.disable()
+    try:
+        assert main([*argv, good[0], str(bad), good[1]]) == 2
+        after = gc.isenabled()
+    finally:
+        if was_enabled:
+            gc.enable()
+    between = caller_enabled  # after each file the collector is as the caller left it
+    assert seen == [
+        ("parse", False), ("reported", between),
+        ("parse", False), ("failed", between),
+        ("parse", False), ("reported", between),
+    ]
+    assert after is caller_enabled
 
 
 def test_detect_threshold_above_one_exit_two(trained, corpus_dir, capsys):

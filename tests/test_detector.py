@@ -12,7 +12,7 @@ from statelens.errors import (
     EmptyTestSetError,
 )
 from statelens.feature_extract import extract_node_tuples
-from statelens.gcn_core import GcnParams, TrainConfig, params_to_bytes
+from statelens.gcn_core import GcnParams, TrainConfig, forward, params_to_bytes
 from statelens.graph_pipeline import build_vocabulary
 
 from helpers import (
@@ -20,6 +20,7 @@ from helpers import (
     normalized_contract,
     random_normalized_graph,
     random_params,
+    reference_top_nodes,
     reference_train,
 )
 
@@ -267,6 +268,28 @@ def test_localize_sorted_descending():
     assert len(ranked) == 4
     saliences = [node.salience for node in ranked]
     assert saliences == sorted(saliences, reverse=True)
+
+
+@pytest.mark.parametrize("k", [1, 3, "n", "n + 2"])
+def test_localize_ranks_exact_ties_as_the_sorted_key(k):
+    """Under S = I, nodes with duplicate feature rows tie; the zero rows tie
+    exactly (salience b_out) whatever order a product sums in."""
+    rng = np.random.default_rng(16)
+    distinct = np.vstack([np.zeros(4), rng.normal(size=(3, 4))])
+    n = 40  # above numpy's insertion-sort cutoff, so an unstable sort shows
+    g = random_normalized_graph(rng, n=n, dim=4)
+    g.features = distinct[rng.integers(0, len(distinct), size=n)]
+    g.s_hat = np.eye(n)
+    g.node_ids = [1000 - 7 * i for i in range(n)]
+    g.spans = [(i, 1, 0) for i in range(n)]
+    model = det.GcnModel(params=random_params(rng, dim=4, hidden=3))
+    trace = forward(model.params, g)
+    k = {"n": n, "n + 2": n + 2}.get(k, k)
+    expected = reference_top_nodes(model, g, trace, k)
+    assert len({salience for _, _, salience in reference_top_nodes(model, g, trace, n)}) < n
+    ranked = det._top_nodes(model, g, trace, k)
+    assert [(r.node_id, r.span, r.salience) for r in ranked] == expected
+    assert all(type(r.salience) is float for r in ranked)
 
 
 # ---------------------------------------------------------------------------

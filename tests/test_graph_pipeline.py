@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statelens import detector as det
+from statelens import graph_pipeline
 from statelens.ast_ingest import AstNode, parse_ast_json
 from statelens.corpus import synth_generate
 from statelens.errors import EmptyCorpusError, EmptyGraphError, ShapeMismatchError
@@ -27,6 +29,7 @@ from statelens.graph_pipeline import (
     build_graph,
     build_vocabulary,
     embed_nodes,
+    link_pairs,
     load_vocabulary,
     normalize,
     optimize_graph,
@@ -40,6 +43,7 @@ from helpers import (
     dense_adjacency,
     nested_ast_json,
     normalized_contract,
+    one_shot_sparse_matmul,
     random_contract_graph,
     random_label_subset,
     random_params,
@@ -538,6 +542,60 @@ def test_sparse_forward_permutation_invariant():
         permuted = normalize(_permuted(graph, rng.permutation(graph.n)))
         assert isinstance(permuted.s_hat, SparseOperator)
         assert abs(forward(params, permuted).probability - base) <= 1e-10
+
+
+def _assert_blocked_product_bit_identical(s_hat: SparseOperator, h: np.ndarray) -> None:
+    assert isinstance(s_hat, SparseOperator)
+    blocked = s_hat @ h
+    assert blocked.dtype == np.float64 and blocked.shape == h.shape
+    assert blocked.tobytes() == one_shot_sparse_matmul(s_hat, h).tobytes()
+
+
+@pytest.mark.parametrize("budget", [graph_pipeline.SPARSE_BLOCK_ELEMENTS, 64])
+@pytest.mark.parametrize("width", [1, 7, 32, 64, 65])
+def test_blocked_product_bit_identical_to_one_shot(monkeypatch, width, budget):
+    monkeypatch.setattr(graph_pipeline, "SPARSE_BLOCK_ELEMENTS", budget)  # 64: many small blocks
+    s_hat = normalize(_large_tree()).s_hat
+    h = np.random.default_rng(width).normal(size=(s_hat.shape[0], width))
+    _assert_blocked_product_bit_identical(s_hat, h)
+
+
+def _star(n: int) -> ContractGraph:
+    return ContractGraph(
+        node_ids=list(range(n)),
+        tuples=[],
+        spans=[(0, 0, 0)] * n,
+        pairs=link_pairs(n, [(0, j) for j in range(1, n)]),
+        edges=[],
+        features=np.random.default_rng(n).normal(size=(n, 64)),
+    )
+
+
+def test_blocked_product_hub_row_over_the_budget():
+    n = graph_pipeline.SPARSE_BLOCK_ELEMENTS // 64 + 2  # the hub's row alone is over budget
+    out = normalize(_star(n))
+    assert np.diff(out.s_hat.row_ptr)[0] * 64 > graph_pipeline.SPARSE_BLOCK_ELEMENTS
+    _assert_blocked_product_bit_identical(out.s_hat, out.features)
+    _assert_blocked_product_bit_identical(out.s_hat, out.features[:, :32])
+
+
+def test_blocked_product_just_above_the_dense_size():
+    out = normalize(_with_features(random_tree_graph(np.random.default_rng(34), DENSE_MAX_NODES + 1)))
+    _assert_blocked_product_bit_identical(out.s_hat, out.features)
+
+
+def test_blocked_product_on_a_merged_unit(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from inputs import merge_source_units
+
+    synth_generate(20, seed=35, out_dir=tmp_path)
+    docs = [json.loads(p.read_text()) for p in sorted(tmp_path.glob("*.ast.json"))]
+    tree = parse_ast_json(json.dumps(merge_source_units(docs)), source_unit="merged.sol")
+    graph = optimize_graph(build_contract_graph(tree), label_set_from_rules())
+    out = normalize(embed_nodes(graph, build_vocabulary([graph.tuples], dim=64, seed=3)))
+    assert out.n > DENSE_MAX_NODES
+    _assert_blocked_product_bit_identical(out.s_hat, out.features)
+    _assert_blocked_product_bit_identical(out.s_hat, np.maximum(out.features[:, :32], 0.0))
 
 
 # ---------------------------------------------------------------------------
