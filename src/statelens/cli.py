@@ -6,6 +6,16 @@ unreadable input, mismatched model/vocabulary, or any unexpected exception,
 reported as one `internal-error` diagnostic; a training run that diverges,
 reported as one `diverged` diagnostic, writes nothing), 3 degenerate
 training corpus. Diagnostics go to stderr as JSON lines; results go to stdout.
+
+Every command that reads AST files (`detect`, `inspect`, and `train` and
+`eval` through a manifest) treats them alike: a file that cannot be opened,
+is not UTF-8, is not a valid AST, or yields no graph gets one diagnostic
+naming it (code `io-error` or the exception class), and the command goes on
+with the next file. It exits 2 at the end (over `detect`'s 1); `train` still
+writes its model and vocabulary and prints its metrics, `eval` its metrics,
+decided over the files that went through. A missing manifest or a manifest
+line that is not a JSON record with a string `ast_path` and a valid label
+stays fatal: one diagnostic naming the line, exit 2.
 """
 
 from __future__ import annotations
@@ -21,17 +31,12 @@ import traceback
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import detector as det
 from .ast_ingest import parse_ast_json, read_document
-from .corpus import LabeledContract, kfold_indices, load_corpus, split_items, synth_generate
-from .errors import (
-    DegenerateCorpusError,
-    EmptyGraphError,
-    StateLensError,
-    TrainingDivergedError,
-)
+from .corpus import kfold_indices, load_corpus, split_items, synth_generate
+from .errors import DegenerateCorpusError, StateLensError, TrainingDivergedError
 from .feature_extract import RuleTable, default_rules, label_set_from_rules, load_rules
 from .gcn_core import TrainConfig
 from .graph_pipeline import (
@@ -48,6 +53,7 @@ from .graph_pipeline import (
 )
 
 log = logging.getLogger("statelens")
+T = TypeVar("T")
 
 
 def _diagnostic(**fields) -> None:
@@ -100,20 +106,55 @@ def _load_rule_table(path: str | None) -> RuleTable:
     return default_rules() if path is None else RuleTable(load_rules(path))
 
 
-def _prune_contracts(contracts: Sequence[LabeledContract], rules) -> list[ContractGraph]:
-    """Build and prune one labeled graph per contract; empty graphs are
-    skipped with a diagnostic rather than failing the whole run."""
-    label_set = label_set_from_rules(rules)
-    kept: list[ContractGraph] = []
-    for contract in contracts:
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Hold off the cyclic garbage collector; resume it only if it ran before."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _each_file(paths: Iterable[str], work: Callable[[str], T]) -> Iterator[T | None]:
+    """`work(path)` for each path in turn, yielded as soon as it returns. A
+    file that fails with OSError or StateLensError yields None after one
+    diagnostic naming it, and the next file goes on. The collector is paused
+    per file, not per call: a large file builds some 20k acyclic containers
+    that die by reference count, while a failed file leaves a cycle
+    (traceback, frames, document text) that must not live on."""
+    for path in paths:
         try:
-            graph = optimize_graph(build_contract_graph(contract.tree, rules), label_set)
-        except EmptyGraphError as exc:
-            _diagnostic(path=contract.path, code="empty-graph", message=str(exc))
-            continue
-        graph.label = contract.label
-        kept.append(graph)
-    return kept
+            with _collector_paused():
+                result = work(path)
+        except (OSError, StateLensError) as exc:
+            code = "io-error" if isinstance(exc, OSError) else type(exc).__name__
+            _diagnostic(path=str(path), code=code, message=str(exc))
+            result = None
+        yield result
+
+
+def _graph_of(path: str, rules: RuleTable, label_set) -> ContractGraph:
+    """One AST file, read, built and pruned."""
+    tree = parse_ast_json(read_document(path), source_unit=str(path))
+    return optimize_graph(build_contract_graph(tree, rules), label_set)
+
+
+def _labeled_graphs(args) -> tuple[list[ContractGraph], int]:
+    """The labeled graph of each manifest record whose file went through, and
+    the number of records whose file failed."""
+    rules = _load_rule_table(args.rules)
+    label_set = label_set_from_rules(rules)
+    records = load_corpus(args.manifest)
+    files = _each_file([path for path, _ in records], lambda path: _graph_of(path, rules, label_set))
+    graphs = []
+    for (_, label), graph in zip(records, files):
+        if graph is not None:
+            graph.label = label
+            graphs.append(graph)
+    return graphs, len(records) - len(graphs)
 
 
 def cmd_gen(args) -> int:
@@ -159,9 +200,7 @@ def cmd_train(args) -> int:
         l2_penalty=args.l2,
         optimizer=args.optimizer,
     )
-    rules = _load_rule_table(args.rules)
-    contracts = load_corpus(args.manifest)
-    pruned = _prune_contracts(contracts, rules)
+    pruned, failed = _labeled_graphs(args)
     if len(pruned) < max(2, args.folds):
         _diagnostic(code="too-small", message=f"only {len(pruned)} usable contracts")
         return 2
@@ -181,7 +220,7 @@ def cmd_train(args) -> int:
                 / len(fold_metrics),
             }
             print(json.dumps(out, sort_keys=True))
-            return 0
+            return 2 if failed else 0
         train, test = split_items(pruned, [g.label for g in pruned], 0.9, config.seed)
         model, history, vocab = _train_once(train, test, config, args.dim)
         _log_epochs(history)
@@ -195,7 +234,7 @@ def cmd_train(args) -> int:
     save_vocabulary(args.vocab, vocab)
     log.info("model written to %s, vocabulary to %s", args.model, args.vocab)
     print(json.dumps(history[-1].held_out.to_json_dict(), sort_keys=True))
-    return 0
+    return 2 if failed else 0
 
 
 def _load_model_and_vocab(args) -> tuple[det.GcnModel, Vocabulary] | None:
@@ -220,28 +259,6 @@ def _load_model_and_vocab(args) -> tuple[det.GcnModel, Vocabulary] | None:
     return model, vocab
 
 
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Hold off the cyclic garbage collector; resume it only if it ran before."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-def _detect_one(path: str, args, model, vocab, rules, label_set, fingerprint) -> det.DetectionReport:
-    """One file, read to report. Its some 20k containers are acyclic and die by
-    reference count on return; the collector would walk them and find nothing."""
-    tree = parse_ast_json(read_document(path), source_unit=str(path))
-    graph = optimize_graph(build_contract_graph(tree, rules), label_set)
-    normalized = normalize(embed_nodes(graph, vocab))
-    return det.build_report(model, normalized, contract=str(path), threshold=args.threshold,
-                            k=args.top_k, model_fingerprint=fingerprint)
-
-
 def _report_name(path: str) -> str:
     return Path(path).stem + ".report.json"
 
@@ -264,20 +281,15 @@ def cmd_detect(args) -> int:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
+    def detect_one(path: str) -> det.DetectionReport:
+        normalized = normalize(embed_nodes(_graph_of(path, rules, label_set), vocab))
+        return det.build_report(model, normalized, contract=str(path), threshold=args.threshold,
+                                k=args.top_k, model_fingerprint=fingerprint)
+
     any_defective = False
     any_failure = False
-    for path in args.paths:
-        try:
-            # Paused per file, not per call: a failed file leaves a cycle
-            # (traceback, frames, document text) that must not live on.
-            with _collector_paused():
-                report = _detect_one(path, args, model, vocab, rules, label_set, fingerprint)
-        except OSError as exc:
-            _diagnostic(path=str(path), code="io-error", message=str(exc))
-            any_failure = True
-            continue
-        except StateLensError as exc:
-            _diagnostic(path=str(path), code=type(exc).__name__, message=str(exc))
+    for path, report in zip(args.paths, _each_file(args.paths, detect_one)):
+        if report is None:
             any_failure = True
             continue
         any_defective = any_defective or report.verdict == "defective"
@@ -299,35 +311,25 @@ def cmd_eval(args) -> int:
     if loaded is None:
         return 2
     model, vocab = loaded
-    rules = _load_rule_table(args.rules)
-    contracts = load_corpus(args.manifest)
-    graphs = [normalize(embed_nodes(graph, vocab)) for graph in _prune_contracts(contracts, rules)]
+    pruned, failed = _labeled_graphs(args)
+    graphs = [normalize(embed_nodes(graph, vocab)) for graph in pruned]
     if not graphs:
         _diagnostic(code="empty-test-set", message="no usable contracts in manifest")
         return 2
     metrics = det.evaluate(model, graphs, threshold=args.threshold)
     print(json.dumps(metrics.to_json_dict(), sort_keys=True))
-    return 0
+    return 2 if failed else 0
 
 
 def cmd_inspect(args) -> int:
     rules = _load_rule_table(args.rules)
     label_set = label_set_from_rules(rules)
     vocab = load_vocabulary(args.vocab) if args.vocab else None
-    failures = 0
-    for path in args.paths:
-        try:
-            tree = parse_ast_json(read_document(path), source_unit=str(path))
-            raw = build_contract_graph(tree, rules)
-            graph = optimize_graph(raw, label_set)
-        except OSError as exc:
-            _diagnostic(path=str(path), code="io-error", message=str(exc))
-            failures += 1
-            continue
-        except StateLensError as exc:
-            _diagnostic(path=str(path), code=type(exc).__name__, message=str(exc))
-            failures += 1
-            continue
+
+    def inspect_one(path: str) -> dict:
+        tree = parse_ast_json(read_document(path), source_unit=str(path))
+        raw = build_contract_graph(tree, rules)
+        graph = optimize_graph(raw, label_set)
         categories: dict[str, int] = {}
         for t in graph.tuples:
             categories[t.category.value] = categories.get(t.category.value, 0) + 1
@@ -346,8 +348,15 @@ def cmd_inspect(args) -> int:
         if vocab is not None:
             known = sum(1 for t in graph.tuples if token_for(t) in vocab.word2idx)
             stats["vocab_coverage"] = known / graph.n
-        print(json.dumps(stats, sort_keys=True))
-    return 2 if failures else 0
+        return stats
+
+    failed = False
+    for stats in _each_file(args.paths, inspect_one):
+        if stats is None:
+            failed = True
+        else:
+            print(json.dumps(stats, sort_keys=True))
+    return 2 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,13 +17,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence, TypeVar
 
 from .ast_ingest import AstTree, parse_ast_json, read_document
-from .errors import (
-    BadLabelError,
-    MalformedJsonError,
-    MissingFileError,
-    SchemaViolationError,
-    TooSmallError,
-)
+from .errors import BadLabelError, MissingFileError, SchemaViolationError, TooSmallError
 
 LABELS = ("defective", "clean")
 
@@ -37,19 +31,19 @@ class LabeledContract:
     label: str
 
 
-def load_corpus(manifest_path: str | Path) -> list[LabeledContract]:
-    """Read a JSON-lines manifest of {ast_path, label} records.
+def load_corpus(manifest_path: str | Path) -> list[tuple[str, str]]:
+    """Read a JSON-lines manifest of {ast_path, label} records into
+    (ast_path, label) pairs, ast_path resolved relative to the manifest.
 
-    ast_path is resolved relative to the manifest. Raises MissingFileError,
-    BadLabelError (naming the line), SchemaViolationError for malformed
-    records, or MalformedJsonError (naming the line) for an AST file that
-    is not UTF-8; AST parse errors propagate naming the AST file.
+    Raises MissingFileError for a missing manifest, SchemaViolationError for
+    a line that is not a JSON record with both fields, or BadLabelError;
+    each names the line. The AST files are not opened here.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise MissingFileError(f"manifest not found: {manifest_path}")
     base = manifest_path.parent
-    contracts: list[LabeledContract] = []
+    records: list[tuple[str, str]] = []
     for lineno, raw in enumerate(read_document(manifest_path).splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -60,29 +54,17 @@ def load_corpus(manifest_path: str | Path) -> list[LabeledContract]:
             raise SchemaViolationError(
                 f"{manifest_path}:{lineno}: manifest line is not JSON: {exc.msg}"
             ) from None
-        if not isinstance(record, dict) or "ast_path" not in record or "label" not in record:
+        if not isinstance(record, dict) or not isinstance(record.get("ast_path"), str) or "label" not in record:
             raise SchemaViolationError(
-                f"{manifest_path}:{lineno}: record needs ast_path and label fields"
+                f"{manifest_path}:{lineno}: record needs a string ast_path and a label"
             )
         label = record["label"]
         if label not in LABELS:
             raise BadLabelError(
                 f"{manifest_path}:{lineno}: label must be one of {LABELS}, got {label!r}"
             )
-        ast_path = Path(record["ast_path"])
-        if not ast_path.is_absolute():
-            ast_path = base / ast_path
-        if not ast_path.exists():
-            raise MissingFileError(f"{manifest_path}:{lineno}: AST file not found: {ast_path}")
-        try:
-            text = read_document(ast_path)
-        except MalformedJsonError as exc:
-            raise MalformedJsonError(
-                f"{manifest_path}:{lineno}: {exc}", offset=exc.offset
-            ) from None
-        tree = parse_ast_json(text, source_unit=str(ast_path))
-        contracts.append(LabeledContract(path=str(ast_path), tree=tree, label=label))
-    return contracts
+        records.append((str(base / record["ast_path"]), label))
+    return records
 
 
 def split_items(

@@ -160,12 +160,15 @@ def parse_rules(text: str) -> list[Rule]:
 
 
 def load_rules(path: str | Path) -> list[Rule]:
-    """The rules in a UTF-8 file; undecodable bytes raise SchemaViolationError
-    naming the file and the byte offset, like any other rule-table fault."""
+    """The rules in a UTF-8 file; undecodable bytes or a file without rules
+    raise SchemaViolationError naming the file, like any other rule-table fault."""
     try:
-        return parse_rules(read_document(path))
+        rules = parse_rules(read_document(path))
     except MalformedJsonError as exc:
         raise SchemaViolationError(str(exc)) from None
+    if not rules:  # it would leave every contract without a graph
+        raise SchemaViolationError(f"{path}: no rules")
+    return rules
 
 
 @lru_cache(maxsize=1)

@@ -110,7 +110,6 @@ class TrainConfig:
 
 @dataclass
 class ForwardTrace:
-    h0: np.ndarray
     sh0: np.ndarray  # S @ H0
     h1: np.ndarray
     sh1: np.ndarray  # S @ H1
@@ -176,7 +175,6 @@ def forward(params: GcnParams, graph: NormalizedGraph) -> ForwardTrace:
     sh0 = s_hat @ h0
     h1, sh1, h2, pooled, logits, probs = _propagate(params, s_hat, sh0)
     return ForwardTrace(
-        h0=h0,
         sh0=sh0,
         h1=h1,
         sh1=sh1,

@@ -356,10 +356,10 @@ def normalize(graph: ContractGraph) -> NormalizedGraph:
         # the same product as the dense (1.0 * inv_sqrt[r]) * inv_sqrt[c]
         s_hat = SparseOperator(n, rows, cols, inv_sqrt[rows] * inv_sqrt[cols])
     return NormalizedGraph(
-        features=graph.features,  # embed_nodes made it; no copy
+        features=graph.features,  # shared with the graph, not copied: nothing mutates them
         s_hat=s_hat,
-        node_ids=list(graph.node_ids),
-        spans=list(graph.spans),
+        node_ids=graph.node_ids,
+        spans=graph.spans,
         label=graph.label,
     )
 

@@ -11,6 +11,7 @@ import pytest
 import statelens.cli
 import statelens.detector
 import statelens.gcn_core
+from statelens.ast_ingest import parse_ast_json, read_document
 from statelens.cli import main
 from statelens.corpus import load_corpus, split_items
 from statelens.feature_extract import label_set_from_rules
@@ -112,12 +113,13 @@ def test_train_prints_metrics_json(trained, capsys, corpus_dir, tmp_path):
 def test_train_vocabulary_has_no_test_leakage(trained):
     """Recompute the vocabulary from the training split alone and compare
     fingerprints with what the CLI persisted."""
-    contracts = load_corpus(trained["corpus"] / "manifest.jsonl")
+    records = load_corpus(trained["corpus"] / "manifest.jsonl")
     label_set = label_set_from_rules()
     pruned = [
-        (c, optimize_graph(build_contract_graph(c.tree), label_set)) for c in contracts
+        (label, optimize_graph(build_contract_graph(parse_ast_json(read_document(path))), label_set))
+        for path, label in records
     ]
-    labels = [c.label for c, _ in pruned]
+    labels = [label for label, _ in pruned]
     train_pairs, _ = split_items(pruned, labels, 0.9, seed=5)
     recomputed = build_vocabulary([g.tuples for _, g in train_pairs], dim=64, seed=5)
     persisted = load_vocabulary(trained["vocab"])
@@ -402,9 +404,10 @@ def test_detect_missing_model_exit_two(trained, corpus_dir, capsys):
 
 def test_detect_vocab_mismatch_exit_two(trained, corpus_dir, tmp_path, capsys):
     other_vocab = tmp_path / "other_vocab.json"
-    contracts = load_corpus(trained["corpus"] / "manifest.jsonl")
+    records = load_corpus(trained["corpus"] / "manifest.jsonl")
     label_set = label_set_from_rules()
-    graphs = [optimize_graph(build_contract_graph(c.tree), label_set) for c in contracts[:2]]
+    trees = [parse_ast_json(read_document(path)) for path, _ in records[:2]]
+    graphs = [optimize_graph(build_contract_graph(tree), label_set) for tree in trees]
     from statelens.graph_pipeline import save_vocabulary
 
     save_vocabulary(other_vocab, build_vocabulary([g.tuples for g in graphs], dim=64, seed=999))
@@ -663,21 +666,114 @@ def test_inspect_non_utf8_file_does_not_stop_the_batch(corpus_dir, tmp_path, cap
     assert [json.loads(line)["path"] for line in captured.out.strip().splitlines()] == [str(valid)]
 
 
-def test_train_non_utf8_ast_names_the_manifest_line(corpus_dir, tmp_path, capsys):
-    bad = _non_utf8_file(tmp_path)
-    manifest = tmp_path / "manifest.jsonl"
-    records = [
-        {"ast_path": str(corpus_dir / "pair0000_clean.ast.json"), "label": "clean"},
-        {"ast_path": str(bad), "label": "defective"},
-    ]
+def _manifest_with(corpus: Path, tmp_path: Path, extra: Path | None, label: str = "defective") -> Path:
+    """The corpus manifest with absolute paths and, when given, one more
+    record naming `extra` in the middle; written under tmp_path."""
+    lines = (corpus / "manifest.jsonl").read_text().splitlines()
+    records = [{**r, "ast_path": str(corpus / r["ast_path"])} for r in map(json.loads, lines)]
+    if extra is not None:
+        records.insert(len(records) // 2, {"ast_path": str(extra), "label": label})
+    manifest = tmp_path / ("manifest.jsonl" if extra is not None else "clean.jsonl")
     manifest.write_text("\n".join(json.dumps(r) for r in records) + "\n")
-    argv = ["train", "--manifest", str(manifest), "--model", str(tmp_path / "m.sgm")]
-    assert main([*argv, "--vocab", str(tmp_path / "v.json"), "--epochs", "1"]) == 2
+    return manifest
+
+
+@pytest.fixture(scope="module")
+def ten_pairs(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("ten_pairs")
+    assert main(["gen", "--pairs", "10", "--seed", "3", "--out", str(out)]) == 0
+    return out
+
+
+def _truncated_ast(corpus: Path, tmp_path: Path) -> Path:
+    bad = tmp_path / "truncated.ast.json"
+    text = (corpus / "pair0003_clean.ast.json").read_text()
+    bad.write_text(text[: len(text) // 2])
+    return bad
+
+
+def _train_on(manifest: Path, out: Path) -> tuple[int, Path, Path]:
+    model, vocab = out / f"{manifest.stem}.sgm", out / f"{manifest.stem}.vocab.json"
+    argv = ["train", "--manifest", str(manifest), "--model", str(model), "--vocab", str(vocab)]
+    return main([*argv, "--epochs", "5"]), model, vocab
+
+
+def test_train_non_utf8_ast_names_the_file(corpus_dir, tmp_path, capsys):
+    bad = _non_utf8_file(tmp_path)
+    code, model, vocab = _train_on(_manifest_with(corpus_dir, tmp_path, bad), tmp_path)
+    assert code == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
+    assert set(json.loads(captured.out)) == METRIC_FIELDS
+    assert model.exists() and vocab.exists()
     diagnostic = _single_error_line(captured.err)
-    assert diagnostic["code"] == "MalformedJsonError"
-    assert f"{manifest}:2:" in diagnostic["message"] and "byte 0" in diagnostic["message"]
+    assert diagnostic["path"] == str(bad) and diagnostic["code"] == "MalformedJsonError"
+    assert "byte 0" in diagnostic["message"]
+
+
+def test_eval_non_utf8_ast_names_the_file_and_byte(trained, ten_pairs, tmp_path, capsys):
+    bad = tmp_path / "bad.ast.json"
+    bad.write_bytes(b'{"id": 1, "nodeType": "SourceUnit", "name": "\xc3\x28"}')
+    manifest = _manifest_with(ten_pairs, tmp_path, bad, label="clean")
+    argv = ["eval", "--model", str(trained["model"]), "--vocab", str(trained["vocab"])]
+    assert main([*argv, "--manifest", str(manifest)]) == 2
+    captured = capsys.readouterr()
+    assert set(json.loads(captured.out)) == METRIC_FIELDS
+    diagnostic = _single_error_line(captured.err)
+    assert diagnostic["path"] == str(bad) and diagnostic["code"] == "MalformedJsonError"
+    assert "byte 45" in diagnostic["message"]
+
+
+def test_train_skips_a_truncated_ast(ten_pairs, tmp_path, capsys):
+    bad = _truncated_ast(ten_pairs, tmp_path)
+    code, model, vocab = _train_on(_manifest_with(ten_pairs, tmp_path, bad), tmp_path)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert set(json.loads(captured.out)) == METRIC_FIELDS
+    diagnostic = _single_error_line(captured.err)
+    assert diagnostic["path"] == str(bad) and diagnostic["code"] == "MalformedJsonError"
+    # a skipped file trains exactly as if the manifest never named it
+    clean_code, clean_model, clean_vocab = _train_on(_manifest_with(ten_pairs, tmp_path, None), tmp_path)
+    assert clean_code == 0
+    assert model.read_bytes() == clean_model.read_bytes()
+    assert vocab.read_bytes() == clean_vocab.read_bytes()
+    assert capsys.readouterr().out == captured.out
+
+
+def test_eval_skips_a_truncated_ast(trained, ten_pairs, tmp_path, capsys):
+    bad = _truncated_ast(ten_pairs, tmp_path)
+    argv = ["eval", "--model", str(trained["model"]), "--vocab", str(trained["vocab"]), "--manifest"]
+    assert main([*argv, str(_manifest_with(ten_pairs, tmp_path, bad))]) == 2
+    captured = capsys.readouterr()
+    diagnostic = _single_error_line(captured.err)
+    assert diagnostic["path"] == str(bad) and diagnostic["code"] == "MalformedJsonError"
+    assert main([*argv, str(_manifest_with(ten_pairs, tmp_path, None))]) == 0
+    assert captured.out and capsys.readouterr().out == captured.out
+
+
+def test_manifest_naming_a_missing_ast_is_one_io_error(ten_pairs, tmp_path, capsys):
+    ghost = tmp_path / "ghost.ast.json"
+    code, model, _ = _train_on(_manifest_with(ten_pairs, tmp_path, ghost), tmp_path)
+    assert code == 2 and model.exists()
+    diagnostic = _single_error_line(capsys.readouterr().err)
+    assert diagnostic["path"] == str(ghost) and diagnostic["code"] == "io-error"
+    assert "ghost" in diagnostic["message"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_empty_graph_contract_is_one_diagnostic_exit_two(trained, ten_pairs, tmp_path, capsys, command):
+    empty = tmp_path / "empty.ast.json"
+    empty.write_text('{"id": 1, "nodeType": "SourceUnit", "nodes": []}')
+    manifest = _manifest_with(ten_pairs, tmp_path, empty)
+    if command == "train":
+        code = _train_on(manifest, tmp_path)[0]
+    else:
+        argv = ["eval", "--model", str(trained["model"]), "--vocab", str(trained["vocab"])]
+        code = main([*argv, "--manifest", str(manifest)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert set(json.loads(captured.out)) == METRIC_FIELDS
+    diagnostic = _single_error_line(captured.err)
+    assert diagnostic["path"] == str(empty) and diagnostic["code"] == "EmptyGraphError"
 
 
 @pytest.mark.parametrize("command", ["inspect", "detect", "train"])
@@ -698,6 +794,17 @@ def test_non_utf8_rules_file_is_one_diagnostic_naming_it(trained, corpus_dir, tm
     assert diagnostic["code"] == "SchemaViolationError"
     assert str(rules) in diagnostic["message"] and "byte 0" in diagnostic["message"]
     assert not model.exists() and not vocab.exists()
+
+
+def test_rules_file_without_rules_is_one_diagnostic_naming_it(corpus_dir, tmp_path, capsys):
+    rules = tmp_path / "empty.rules"
+    rules.write_text("# comments only\n\n")
+    targets = [str(p) for p in sorted(corpus_dir.glob("*.ast.json"))[:3]]
+    assert main(["inspect", "--rules", str(rules), *targets]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diagnostic = _single_error_line(captured.err)
+    assert diagnostic["code"] == "SchemaViolationError" and str(rules) in diagnostic["message"]
 
 
 @pytest.mark.parametrize("command", ["detect", "eval"])
