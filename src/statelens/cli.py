@@ -70,14 +70,25 @@ class _JsonLineFormatter(logging.Formatter):
         return json.dumps({**fields, "message": record.getMessage(), **extra})
 
 
-def _configure_logging() -> None:
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+
+def _configure_logging() -> bool:
     """Send `statelens` log records to the current stderr as JSON lines, at
-    the level named by STATELENS_LOG (default WARNING)."""
+    the level STATELENS_LOG names in any case (unset or empty: WARNING).
+    Any other value gets one diagnostic and False."""
+    raw = os.environ.get("STATELENS_LOG", "")
+    level = raw.strip().upper() or "WARNING"
+    if level not in _LOG_LEVELS:
+        message = f"STATELENS_LOG must be one of {', '.join(_LOG_LEVELS)} (any case), got {raw!r}"
+        _diagnostic(code="bad-log-level", message=message)
+        return False
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(_JsonLineFormatter())
     log.handlers[:] = [handler]
-    log.setLevel(os.environ.get("STATELENS_LOG", "WARNING").upper())
+    log.setLevel(level)
     log.propagate = False
+    return True
 
 
 def _ranged(convert, ok, wording: str):
@@ -221,7 +232,7 @@ def cmd_train(args) -> int:
             }
             print(json.dumps(out, sort_keys=True))
             return 2 if failed else 0
-        train, test = split_items(pruned, [g.label for g in pruned], 0.9, config.seed)
+        train, test = split_items(pruned, [g.label for g in pruned], config.seed)
         model, history, vocab = _train_once(train, test, config, args.dim)
         _log_epochs(history)
     except DegenerateCorpusError as exc:
@@ -416,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    _configure_logging()
+    if not _configure_logging():  # before parsing: no command runs
+        return 2
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

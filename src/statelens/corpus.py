@@ -17,9 +17,10 @@ from pathlib import Path
 from typing import Any, Callable, Sequence, TypeVar
 
 from .ast_ingest import AstTree, parse_ast_json, read_document
-from .errors import BadLabelError, MissingFileError, SchemaViolationError, TooSmallError
+from .errors import BadLabelError, MissingFileError, SchemaViolationError
 
 LABELS = ("defective", "clean")
+TRAIN_FRACTION = 0.9  # of each label's items, rounded, on the training side of a split
 
 T = TypeVar("T")
 
@@ -67,30 +68,15 @@ def load_corpus(manifest_path: str | Path) -> list[tuple[str, str]]:
     return records
 
 
-def split_items(
-    items: Sequence[T],
-    labels: Sequence[str],
-    train_fraction: float = 0.9,
-    seed: int = 42,
-) -> tuple[list[T], list[T]]:
-    """Seeded shuffle, then per label the first round(fraction * count)
-    items of that label go to training, the rest to the test side.
-
-    Returns a partition (train, test); both sides are non-empty whenever
-    len(items) >= 2.
-    """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    n = len(items)
-    if n < 2:
-        raise TooSmallError(f"need at least 2 items to split, got {n}")
-    if len(labels) != n:
-        raise ValueError("labels must align with items")
-
-    order = list(range(n))
+def split_items(items: Sequence[T], labels: Sequence[str], seed: int = 42) -> tuple[list[T], list[T]]:
+    """Seeded shuffle, then per label the first round(TRAIN_FRACTION * count)
+    items of that label go to training, the rest to the test side. Returns a
+    partition (train, test), both sides non-empty given at least 2 items and
+    `labels[i]` the label of `items[i]` (the caller's `too-small` check)."""
+    order = list(range(len(items)))
     random.Random(seed).shuffle(order)
 
-    quota = {label: round(train_fraction * labels.count(label)) for label in set(labels)}
+    quota = {label: round(TRAIN_FRACTION * labels.count(label)) for label in set(labels)}
     train_idx, test_idx = [], []
     for i in order:
         if quota[labels[i]] > 0:
@@ -108,8 +94,6 @@ def split_items(
 
 def kfold_indices(n: int, folds: int, seed: int = 42) -> list[tuple[list[int], list[int]]]:
     """Shuffled contiguous folds; each item lands in exactly one test fold."""
-    if folds < 2 or folds > n:
-        raise ValueError(f"folds must be in [2, {n}], got {folds}")
     order = list(range(n))
     random.Random(seed).shuffle(order)
     chunks = [order[i::folds] for i in range(folds)]
@@ -382,8 +366,6 @@ def synth_generate(
     manifest.jsonl and a README describing each pair; returns the parsed
     contracts either way.
     """
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     contracts: list[LabeledContract] = []
     readme_lines = [
         "# Synthetic contract corpus",

@@ -11,13 +11,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadLabelError,
-    DegenerateCorpusError,
-    EmptyCorpusError,
-    EmptyTestSetError,
-    TrainingDivergedError,
-)
+from .errors import DegenerateCorpusError, TrainingDivergedError
 from .gcn_core import (
     DEFECTIVE,
     ForwardTrace,
@@ -139,12 +133,9 @@ def _verdict(probability: float, threshold: float) -> str:
 def evaluate(
     model: GcnModel, testset: Sequence[NormalizedGraph], threshold: float = 0.5
 ) -> Metrics:
-    if not testset:
-        raise EmptyTestSetError("evaluation needs at least one labeled graph")
+    """Confusion counts and metrics over labeled graphs."""
     tp = fp = tn = fn = 0
     for graph in testset:
-        if graph.label is None:
-            raise BadLabelError(f"graph over nodes {graph.node_ids[:3]}... has no label")
         verdict, _ = predict(model, graph, threshold)
         if graph.label == "defective":
             if verdict == "defective":
@@ -167,16 +158,14 @@ def train(
     vocab_fingerprint: str = "",
 ) -> tuple[GcnModel, list[EpochStats]]:
     """Per-graph gradient steps over `train_graphs`; after each epoch, the
-    mean training loss and the metrics on `test_graphs`. Both sides together
-    need labels and both classes. Deterministic for a fixed seed. Raises
-    TrainingDivergedError once an epoch ends with a non-finite loss or weight."""
-    if not train_graphs:
-        raise EmptyCorpusError("training corpus is empty")
-    labels = [g.label for g in [*train_graphs, *test_graphs]]
-    if any(label is None for label in labels):
-        raise BadLabelError("every training graph needs a label")
-    if len(set(labels)) < 2:
-        raise DegenerateCorpusError(f"training needs both classes, got only {set(labels)}")
+    mean training loss and the metrics on `test_graphs`. The caller's split
+    leaves `train_graphs` non-empty and every graph labeled; both sides
+    together must hold both classes, or DegenerateCorpusError is raised.
+    Deterministic for a fixed seed. Raises TrainingDivergedError once an
+    epoch ends with a non-finite loss or weight."""
+    labels = {g.label for g in [*train_graphs, *test_graphs]}
+    if len(labels) < 2:
+        raise DegenerateCorpusError(f"training needs both classes, got only {labels}")
 
     dim = int(train_graphs[0].features.shape[1])
     # One parameter buffer and one gradient buffer for the whole run: every

@@ -23,16 +23,8 @@ class SchemaViolationError(StateLensError):
     """JSON is well formed but does not follow the compact AST schema."""
 
 
-class EmptyCorpusError(StateLensError):
-    """A corpus-level operation received no usable input."""
-
-
 class EmptyGraphError(StateLensError):
     """A contract produced no graph nodes; the contract is skipped, not fatal."""
-
-
-class ShapeMismatchError(StateLensError):
-    """Matrix operands have incompatible shapes."""
 
 
 class DegenerateCorpusError(StateLensError):
@@ -43,17 +35,9 @@ class TrainingDivergedError(StateLensError):
     """Training reached a loss or a weight that is not finite."""
 
 
-class EmptyTestSetError(StateLensError):
-    """Evaluation was asked to run on an empty test set."""
-
-
 class MissingFileError(StateLensError):
     """A referenced file does not exist."""
 
 
 class BadLabelError(StateLensError):
     """A manifest record carries a label outside {defective, clean}."""
-
-
-class TooSmallError(StateLensError):
-    """A corpus is too small to split."""

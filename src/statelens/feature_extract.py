@@ -39,11 +39,6 @@ class EdgeType(Enum):
     DECL_REF = "DeclRef"
 
 
-# DataDep/FuncCall/DeclRef relate two distinct program points; AstChild and
-# ControlFlow cannot self-loop by construction but are listed for clarity.
-_NO_SELF_LOOP = frozenset({EdgeType.DATA_DEP, EdgeType.FUNC_CALL, EdgeType.DECL_REF})
-
-
 # One NodeTuple per graph node, one EdgeTuple per edge: slotted, not frozen,
 # since a frozen dataclass sets each field through object.__setattr__.
 @dataclass(slots=True)
@@ -60,10 +55,6 @@ class EdgeTuple:
     e_s: int
     e_e: int
     e_t: EdgeType
-
-    def __post_init__(self):
-        if self.e_s == self.e_e and self.e_t in _NO_SELF_LOOP:  # ints first: no enum hash
-            raise ValueError(f"{self.e_t.value} edge may not self-loop (node {self.e_s})")
 
 
 @dataclass(frozen=True)
@@ -281,7 +272,8 @@ _EDGE_TYPE_OF = {t.value: t for t in EdgeType}
 
 
 def extract_edges(tree: AstTree, tuples: list[NodeTuple]) -> list[EdgeTuple]:
-    """Typed directed edges between categorized nodes, sorted by (e_s, e_e, e_t).
+    """Typed directed edges between categorized nodes, sorted by (e_s, e_e, e_t):
+    no self-loop and no duplicate, so no later stage checks for either.
 
     AstChild edges project the tree onto categorized nodes: each node links
     to its nearest categorized ancestor, and nodes with none (top-level

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ast_ingest import AstTree
-from .errors import EmptyCorpusError, EmptyGraphError, SchemaViolationError, ShapeMismatchError
+from .errors import EmptyGraphError, SchemaViolationError
 from .feature_extract import (
     EdgeTuple,
     LabelSet,
@@ -91,6 +91,8 @@ class Vocabulary:
             raise SchemaViolationError(
                 f"embedding must be a non-empty matrix, got shape {embedding.shape}"
             )
+        if not np.isfinite(embedding).all():
+            raise SchemaViolationError("vocabulary embedding holds a value that is not finite")
         rows = embedding.shape[0]
         if not all(0 <= i < rows for i in (vocab.unk_index, *vocab.word2idx.values())):
             raise SchemaViolationError(f"vocabulary indices must lie in [0, {rows})")
@@ -107,12 +109,9 @@ def build_vocabulary(
     """Frequency-then-lexicographic token indexing plus a seeded embedding table.
 
     Index 0 is reserved for out-of-vocabulary tokens; rows are drawn
-    uniformly from [-1/sqrt(dim), +1/sqrt(dim)].
+    uniformly from [-1/sqrt(dim), +1/sqrt(dim)], `dim` >= 1 (`--dim` is
+    checked where it is parsed).
     """
-    if not corpus:
-        raise EmptyCorpusError("vocabulary needs at least one contract")
-    if dim < 1:
-        raise ValueError(f"embedding dim must be >= 1, got {dim}")
     counts: dict[str, int] = {}
     for doc in corpus:
         for node in doc:
@@ -198,10 +197,7 @@ class SparseOperator:
         return self.rows.nbytes + self.indices.nbytes + self.data.nbytes + self.row_ptr.nbytes
 
     def __matmul__(self, h: np.ndarray) -> np.ndarray:
-        n = self.shape[0]
-        if h.ndim != 2 or h.shape[0] != n:
-            raise ShapeMismatchError(f"operator {self.shape} cannot multiply {h.shape}")
-        d = h.shape[1]
+        n, d = self.shape[0], h.shape[1]  # h is n x d
         out = np.empty((n, d))
         ptr, columns = self.row_ptr, np.arange(d)
         per_block = max(1, SPARSE_BLOCK_ELEMENTS // max(d, 1))  # stored entries
@@ -264,11 +260,7 @@ def build_graph(
         raise EmptyGraphError(f"{tree.source_unit}: no categorized nodes")
     index = {t.n_id: i for i, t in enumerate(tuples)}
     links: list[tuple[int, int]] = []
-    for edge in edges:
-        if edge.e_s not in index or edge.e_e not in index:
-            raise EmptyGraphError(
-                f"{tree.source_unit}: edge endpoint {edge.e_s}->{edge.e_e} missing from tuples"
-            )
+    for edge in edges:  # `extract_edges` links categorized nodes only
         i, j = index[edge.e_s], index[edge.e_e]
         if i != j:
             links.append((i, j))
@@ -333,12 +325,9 @@ def embed_nodes(graph: ContractGraph, vocab: Vocabulary) -> ContractGraph:
 
 
 def normalize(graph: ContractGraph) -> NormalizedGraph:
-    """Add self-loops and apply the symmetric degree normalization."""
+    """Add self-loops and apply the symmetric degree normalization to an
+    embedded graph, never empty (`build_graph` and `optimize_graph` see to it)."""
     n = graph.n
-    if n < 1:
-        raise EmptyGraphError("cannot normalize an empty graph")
-    if graph.features is None:
-        raise ShapeMismatchError("graph has no features; embed_nodes must run first")
     i, j = graph.pairs.T
     degrees = 1.0 + np.bincount(graph.pairs.ravel(), minlength=n)
     inv_sqrt = 1.0 / np.sqrt(degrees)  # self-loops keep every degree >= 1

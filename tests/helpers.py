@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 
 import numpy as np
+from hypothesis import strategies as st
 
 from statelens.detector import EpochStats, GcnModel, evaluate
 from statelens.feature_extract import (
@@ -379,6 +380,30 @@ def walk_json_nodes(obj):
     elif isinstance(obj, list):
         for item in obj:
             yield from walk_json_nodes(item)
+
+
+TREE_NODE_TYPES = ["SourceUnit", "ContractDefinition", "FunctionDefinition", "Block", "Identifier", "Literal"]
+
+
+@st.composite
+def random_tree_docs(draw) -> dict:
+    """A compact-AST document of 1-12 nodes, ids 1..n in preorder, each a
+    child of a random earlier node under its `nodes` list."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    parents = [draw(st.integers(min_value=0, max_value=i - 1)) if i else None for i in range(n)]
+    objs = []
+    for i in range(n):
+        obj = {"id": i + 1, "nodeType": draw(st.sampled_from(TREE_NODE_TYPES))}
+        if draw(st.booleans()):
+            obj["name"] = draw(st.text("abcxyz_", min_size=1, max_size=6))
+        if draw(st.booleans()):
+            obj["visibility"] = draw(st.sampled_from(["public", "internal"]))
+        obj["src"] = f"{i * 3}:{draw(st.integers(0, 9))}:0"
+        obj["nodes"] = []
+        objs.append(obj)
+    for i in range(1, n):
+        objs[parents[i]]["nodes"].append(objs[i])
+    return objs[0]
 
 
 def reference_node_fields(obj: dict) -> tuple[dict[str, str], tuple[int, ...]]:

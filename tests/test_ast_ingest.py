@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from statelens.ast_ingest import AstNode, AstTree, parse_ast_json, subtree_preorder, validate_tree
 from statelens.errors import EmptyDocumentError, MalformedJsonError, SchemaViolationError
 
-from helpers import nested_ast_json, reference_node_fields, walk_json_nodes
+from helpers import TREE_NODE_TYPES, nested_ast_json, random_tree_docs, reference_node_fields, walk_json_nodes
 
 MINIMAL = '{"id": 1, "nodeType": "SourceUnit", "nodes": [{"id": 2, "nodeType": "ContractDefinition", "name": "C"}]}'
 
@@ -223,27 +223,6 @@ def test_validate_unreachable_and_multi_parent():
 # Parsing property: the tree holds exactly the document's nodes.
 # ---------------------------------------------------------------------------
 
-_TYPES = ["SourceUnit", "ContractDefinition", "FunctionDefinition", "Block", "Identifier", "Literal"]
-
-
-@st.composite
-def random_tree_docs(draw) -> dict:
-    n = draw(st.integers(min_value=1, max_value=12))
-    parents = [draw(st.integers(min_value=0, max_value=i - 1)) if i else None for i in range(n)]
-    objs = []
-    for i in range(n):
-        obj = {"id": i + 1, "nodeType": draw(st.sampled_from(_TYPES))}
-        if draw(st.booleans()):
-            obj["name"] = draw(st.text("abcxyz_", min_size=1, max_size=6))
-        if draw(st.booleans()):
-            obj["visibility"] = draw(st.sampled_from(["public", "internal"]))
-        obj["src"] = f"{i * 3}:{draw(st.integers(0, 9))}:0"
-        obj["nodes"] = []
-        objs.append(obj)
-    for i in range(1, n):
-        objs[parents[i]]["nodes"].append(objs[i])
-    return objs[0]
-
 
 def _signature(tree: AstTree) -> list[tuple]:
     return [
@@ -292,7 +271,7 @@ _ATTRIBUTE_KEYS = st.sampled_from(["nodes", "body", "value", "typeDescriptions",
 
 @st.composite
 def _node_object(draw, depth: int) -> dict:
-    obj = {"nodeType": draw(st.sampled_from(_TYPES))}
+    obj = {"nodeType": draw(st.sampled_from(TREE_NODE_TYPES))}
     if draw(st.booleans()):
         obj["name"] = draw(st.text("xy", min_size=1, max_size=3))
     for key in draw(st.lists(_ATTRIBUTE_KEYS, max_size=3, unique=True)):

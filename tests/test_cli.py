@@ -1,5 +1,6 @@
 import gc
 import json
+import logging
 import math
 import struct
 import subprocess
@@ -120,7 +121,7 @@ def test_train_vocabulary_has_no_test_leakage(trained):
         for path, label in records
     ]
     labels = [label for label, _ in pruned]
-    train_pairs, _ = split_items(pruned, labels, 0.9, seed=5)
+    train_pairs, _ = split_items(pruned, labels, seed=5)
     recomputed = build_vocabulary([g.tuples for _, g in train_pairs], dim=64, seed=5)
     persisted = load_vocabulary(trained["vocab"])
     assert persisted.fingerprint() == recomputed.fingerprint()
@@ -759,6 +760,29 @@ def test_manifest_naming_a_missing_ast_is_one_io_error(ten_pairs, tmp_path, caps
     assert "ghost" in diagnostic["message"]
 
 
+def test_train_on_one_usable_contract_is_too_small(ten_pairs, tmp_path, capsys):
+    manifest = tmp_path / "one.jsonl"
+    record = {"ast_path": str(ten_pairs / "pair0000_defective.ast.json"), "label": "defective"}
+    manifest.write_text(json.dumps(record) + "\n")
+    code, model, vocab = _train_on(manifest, tmp_path)
+    assert code == 2 and not model.exists() and not vocab.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and _single_error_line(captured.err)["code"] == "too-small"
+
+
+def test_eval_with_no_usable_contract_is_an_empty_test_set(trained, tmp_path, capsys):
+    paths = [tmp_path / "missing.ast.json", _non_utf8_file(tmp_path)]
+    manifest = tmp_path / "broken.jsonl"
+    manifest.write_text("".join(json.dumps({"ast_path": str(p), "label": "clean"}) + "\n" for p in paths))
+    argv = ["eval", "--model", str(trained["model"]), "--vocab", str(trained["vocab"])]
+    assert main([*argv, "--manifest", str(manifest)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diagnostics = [json.loads(line) for line in captured.err.strip().splitlines()]
+    assert [d.get("path") for d in diagnostics] == [str(p) for p in paths] + [None]
+    assert [d["code"] for d in diagnostics] == ["io-error", "MalformedJsonError", "empty-test-set"]
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_empty_graph_contract_is_one_diagnostic_exit_two(trained, ten_pairs, tmp_path, capsys, command):
     empty = tmp_path / "empty.ast.json"
@@ -876,6 +900,26 @@ def test_train_logs_no_epochs_at_the_default_level(corpus_dir, tmp_path, capsys,
     assert built == []
 
 
+@pytest.mark.parametrize("value", ["bogus", "5"])
+def test_unknown_log_level_is_one_diagnostic_and_runs_nothing(fixture_dir, capsys, monkeypatch, value):
+    monkeypatch.setenv("STATELENS_LOG", value)
+    assert main(["inspect", str(fixture_dir / "unguarded_transfer.ast.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diagnostic = _single_error_line(captured.err)
+    assert diagnostic["code"] == "bad-log-level" and "STATELENS_LOG" in diagnostic["message"]
+    assert all(name in diagnostic["message"] for name in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"))
+
+
+@pytest.mark.parametrize("value", ["info ", ""], ids=["trailing-space", "empty"])
+def test_log_level_is_stripped_and_empty_means_warning(fixture_dir, capsys, monkeypatch, value):
+    monkeypatch.setenv("STATELENS_LOG", value)
+    assert main(["inspect", str(fixture_dir / "unguarded_transfer.ast.json")]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["ast_nodes"] > 0 and captured.err == ""
+    assert statelens.cli.log.level == (logging.INFO if value else logging.WARNING)
+
+
 @pytest.mark.parametrize("extra", [[], ["--folds", "3"]], ids=["split", "folds"])
 def test_diverging_train_is_one_diagnostic_and_writes_nothing(corpus_dir, tmp_path, extra):
     """A learning rate that overflows the weights ends `train` with one
@@ -911,3 +955,26 @@ def test_model_with_a_non_finite_weight_is_refused(
     diagnostic = _single_error_line(captured.err)
     assert diagnostic["code"] == "SchemaViolationError"
     assert "not finite" in diagnostic["message"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("command", ["detect", "eval"])
+def test_vocabulary_with_a_non_finite_value_is_refused(
+    trained, corpus_dir, tmp_path, capsys, command, value
+):
+    unbound = tmp_path / "unbound.sgm"  # an empty fingerprint: no vocabulary check at load
+    statelens.detector.GcnModel(statelens.detector.GcnModel.load(trained["model"]).params).save(unbound)
+    vocab = json.loads(trained["vocab"].read_text(encoding="utf-8"))
+    vocab["embedding"][1][0] = value  # json writes NaN, Infinity, -Infinity
+    bad = tmp_path / "bad_vocab.json"
+    bad.write_text(json.dumps(vocab), encoding="utf-8")
+    argv = [command, "--model", str(unbound), "--vocab", str(bad)]
+    if command == "detect":
+        argv += [str(p) for p in sorted(corpus_dir.glob("*.ast.json"))]
+    else:
+        argv += ["--manifest", str(corpus_dir / "manifest.jsonl")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diagnostic = _single_error_line(captured.err)
+    assert diagnostic["code"] == "SchemaViolationError" and "not finite" in diagnostic["message"]

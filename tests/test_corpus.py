@@ -16,7 +16,6 @@ from statelens.errors import (
     BadLabelError,
     MissingFileError,
     SchemaViolationError,
-    TooSmallError,
 )
 
 from helpers import is_defective_shaped, json_shape
@@ -97,21 +96,21 @@ def test_load_record_with_a_non_string_ast_path_names_line(tmp_path, ast_path):
 
 
 def test_split_ten_items_nine_one():
-    train, test = split_items(list(range(10)), ["clean"] * 10, 0.9, seed=1)
+    train, test = split_items(list(range(10)), ["clean"] * 10, seed=1)
     assert len(train) == 9 and len(test) == 1
 
 
 def test_split_deterministic():
     items = list(range(30))
     labels = ["defective" if i % 3 else "clean" for i in items]
-    assert split_items(items, labels, 0.9, seed=5) == split_items(items, labels, 0.9, seed=5)
-    assert split_items(items, labels, 0.9, seed=5) != split_items(items, labels, 0.9, seed=6)
+    assert split_items(items, labels, seed=5) == split_items(items, labels, seed=5)
+    assert split_items(items, labels, seed=5) != split_items(items, labels, seed=6)
 
 
 def test_split_stratified_balanced_counts():
     items = list(range(20))
     labels = ["defective"] * 10 + ["clean"] * 10
-    train, test = split_items(items, labels, 0.9, seed=0)
+    train, test = split_items(items, labels, seed=0)
     train_labels = Counter(labels[i] for i in train)
     assert train_labels == Counter({"defective": 9, "clean": 9})
     assert len(test) == 2
@@ -120,35 +119,22 @@ def test_split_stratified_balanced_counts():
 def test_split_is_partition():
     items = list(range(17))
     labels = ["defective" if i < 8 else "clean" for i in items]
-    train, test = split_items(items, labels, 0.9, seed=2)
+    train, test = split_items(items, labels, seed=2)
     assert set(train) | set(test) == set(items)
     assert set(train) & set(test) == set()
 
 
 @given(
     n=st.integers(min_value=2, max_value=60),
-    fraction=st.floats(min_value=0.05, max_value=0.95),
     seed=st.integers(min_value=0, max_value=1000),
 )
 @settings(max_examples=80)
-def test_split_partition_property(n, fraction, seed):
+def test_split_partition_property(n, seed):
     items = list(range(n))
     labels = ["defective" if i % 2 else "clean" for i in items]
-    train, test = split_items(items, labels, fraction, seed)
+    train, test = split_items(items, labels, seed)
     assert sorted(train + test) == items
     assert train and test
-
-
-def test_split_rejects_bad_fraction():
-    with pytest.raises(ValueError):
-        split_items([1, 2, 3], ["clean"] * 3, 1.0, 0)
-    with pytest.raises(ValueError):
-        split_items([1, 2, 3], ["clean"] * 3, 0.0, 0)
-
-
-def test_split_too_small():
-    with pytest.raises(TooSmallError):
-        split_items([1], ["clean"], 0.9, 0)
 
 
 def test_kfold_indices_cover_everything():
@@ -226,11 +212,6 @@ def test_generator_manifest_loads_back(tmp_path):
     assert Counter(label for _, label in records) == Counter({"defective": 3, "clean": 3})
     assert sorted(path for path, _ in records) == sorted(map(str, tmp_path.glob("*.ast.json")))
     assert (tmp_path / "README.md").exists()
-
-
-def test_generator_rejects_zero_pairs():
-    with pytest.raises(ValueError):
-        synth_generate(0, seed=1)
 
 
 def test_generated_names_are_randomized():

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statelens.ast_ingest import parse_ast_json
-from statelens.errors import SchemaViolationError
+from statelens.corpus import synth_generate
+from statelens.errors import EmptyGraphError, SchemaViolationError
 from statelens.feature_extract import (
     DependencyCategory,
     EdgeTuple,
@@ -18,8 +19,9 @@ from statelens.feature_extract import (
     label_set_from_rules,
     parse_rules,
 )
+from statelens.graph_pipeline import build_graph, build_vocabulary, embed_nodes, normalize
 
-from helpers import walk_json_nodes
+from helpers import random_tree_docs, walk_json_nodes
 
 
 @pytest.mark.parametrize(
@@ -439,7 +441,63 @@ def test_no_dangling_edge_endpoints(proxy_tree):
         assert edge.e_s in ids and edge.e_e in ids
 
 
-@pytest.mark.parametrize("edge_type", [EdgeType.DATA_DEP, EdgeType.FUNC_CALL, EdgeType.DECL_REF])
-def test_reference_edges_forbid_self_loops(edge_type):
-    with pytest.raises(ValueError):
-        EdgeTuple(e_s=3, e_e=3, e_t=edge_type)
+# ---------------------------------------------------------------------------
+# Edge invariants: what `build_graph`, `normalize` and the GCN rely on
+# without checking it again.
+# ---------------------------------------------------------------------------
+
+# Types that give every edge kind: declarations and functions to refer to,
+# assignments (DataDep), branches (ControlFlow), calls (FuncCall). Identifier
+# and Assignment come twice: DataDep, the rarest kind to draw, needs an
+# Identifier that refers to a declaration below an Assignment's right side.
+_EDGE_SOURCE_TYPES = [
+    "Identifier", "Identifier", "Assignment", "Assignment", "VariableDeclaration",
+    "FunctionDefinition", "FunctionCall", "IfStatement", "Block",
+]
+
+
+@st.composite
+def _referencing_docs(draw) -> dict:
+    """A `random_tree_docs` document retyped below its root, where each
+    Identifier and some other nodes name a `referencedDeclaration`: a
+    declaration or function in the document, the node itself, or an id
+    that is absent."""
+    doc = draw(random_tree_docs())
+    objs = list(walk_json_nodes(doc))
+    for obj in objs[1:]:
+        obj["nodeType"] = draw(st.sampled_from(_EDGE_SOURCE_TYPES))
+    declared = [o["id"] for o in objs if o["nodeType"] in ("VariableDeclaration", "FunctionDefinition")]
+    for obj in objs[1:]:
+        if obj["nodeType"] == "Identifier" or draw(st.booleans()):
+            obj["referencedDeclaration"] = draw(st.sampled_from([*declared, obj["id"], len(objs) + 1]))
+    return doc
+
+
+def _check_edge_invariants(tree) -> set[EdgeType]:
+    """Assert what later stages trust of `extract_edges`; return the kinds seen."""
+    tuples = extract_node_tuples(tree)
+    edges = extract_edges(tree, tuples)
+    ids = {t.n_id for t in tuples}
+    keys = [(e.e_s, e.e_e, e.e_t) for e in edges]
+    assert all(s != e for s, e, _ in keys), "self-loop"
+    assert all(s in ids and e in ids for s, e, _ in keys), "endpoint outside the tuples"
+    assert len(set(keys)) == len(keys), "duplicate edge"
+    if not tuples:
+        with pytest.raises(EmptyGraphError):
+            build_graph(tree, tuples, edges)
+        return set()
+    vocab = build_vocabulary([tuples], dim=4, seed=0)
+    normalized = normalize(embed_nodes(build_graph(tree, tuples, edges), vocab))
+    assert normalized.s_hat.shape == (len(tuples), len(tuples)) == (normalized.features.shape[0],) * 2
+    return {e.e_t for e in edges}
+
+
+@given(st.one_of(random_tree_docs(), _referencing_docs()))
+@settings(max_examples=150, deadline=None)
+def test_edges_of_random_documents_keep_the_invariants(doc):
+    _check_edge_invariants(parse_ast_json(json.dumps(doc)))
+
+
+def test_edges_of_generated_contracts_and_the_proxy_keep_the_invariants(proxy_tree):
+    trees = [proxy_tree, *(contract.tree for contract in synth_generate(20, seed=7))]
+    assert set().union(*map(_check_edge_invariants, trees)) == set(EdgeType)  # every kind checked
