@@ -183,15 +183,13 @@ def _build_nodes(data: dict, source_unit: str) -> tuple[dict[int, AstNode], dict
 
 def read_document(path: str | Path) -> str:
     """The text of a UTF-8 file. Undecodable bytes raise MalformedJsonError
-    naming the offset of the first one; OSError propagates."""
+    naming the byte of the first one; OSError propagates."""
     with open(path, "rb") as file:
         data = file.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise MalformedJsonError(
-            f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}", offset=exc.start
-        ) from None
+        raise MalformedJsonError(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from None
 
 
 def parse_ast_json(document: str, source_unit: str = "<memory>") -> AstTree:
@@ -199,8 +197,8 @@ def parse_ast_json(document: str, source_unit: str = "<memory>") -> AstTree:
 
     Every JSON object bearing a ``nodeType`` becomes exactly one node;
     nesting order decides the child order, and `nodes` holds them in
-    preorder. Raises EmptyDocumentError, MalformedJsonError (with byte
-    offset), or SchemaViolationError (also for a document nested deeper
+    preorder. Raises EmptyDocumentError, MalformedJsonError (naming the
+    byte), or SchemaViolationError (also for a document nested deeper
     than the JSON decoder accepts).
     """
     if not document or not document.strip():
@@ -208,9 +206,7 @@ def parse_ast_json(document: str, source_unit: str = "<memory>") -> AstTree:
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
-        raise MalformedJsonError(
-            f"{source_unit}: invalid JSON at byte {exc.pos}: {exc.msg}", offset=exc.pos
-        ) from None
+        raise MalformedJsonError(f"{source_unit}: invalid JSON at byte {exc.pos}: {exc.msg}") from None
     except RecursionError:
         raise SchemaViolationError(f"{source_unit}: JSON nested too deeply to parse") from None
     if not isinstance(data, dict):

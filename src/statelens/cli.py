@@ -1,21 +1,20 @@
 """Command line interface: gen, train, detect, eval, inspect.
 
 Exit codes: 0 success (and no defects for `detect`), 1 at least one
-defective contract (`detect` only), 2 operational error (bad paths,
-unreadable input, mismatched model/vocabulary, or any unexpected exception,
-reported as one `internal-error` diagnostic; a training run that diverges,
-reported as one `diverged` diagnostic, writes nothing), 3 degenerate
-training corpus. Diagnostics go to stderr as JSON lines; results go to stdout.
+defective contract (`detect` only), 2 operational error, 3 degenerate
+training corpus. Results go to stdout. Every fault is rendered by
+`_diagnostic` as one JSON line on stderr: a StateLensError with its own code,
+path and exit code (the CLI's own refusals raise one with `code=`), an
+OSError as `io-error` naming the file, and anything else as `internal-error`
+with exit 2, never a traceback. A refused or diverging `train` writes nothing.
 
 Every command that reads AST files (`detect`, `inspect`, and `train` and
 `eval` through a manifest) treats them alike: a file that cannot be opened,
 is not UTF-8, is not a valid AST, or yields no graph gets one diagnostic
-naming it (code `io-error` or the exception class), and the command goes on
-with the next file. It exits 2 at the end (over `detect`'s 1); `train` still
-writes its model and vocabulary and prints its metrics, `eval` its metrics,
-decided over the files that went through. A missing manifest or a manifest
-line that is not a JSON record with a string `ast_path` and a valid label
-stays fatal: one diagnostic naming the line, exit 2.
+naming it, and the command goes on with the next file. It exits 2 at the end
+(over `detect`'s 1); `train` still writes its model and vocabulary and prints
+its metrics, `eval` its metrics, decided over the files that went through.
+Any other fault, a bad manifest line included, is fatal: one diagnostic.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 from . import detector as det
 from .ast_ingest import parse_ast_json, read_document
 from .corpus import kfold_indices, load_corpus, split_items, synth_generate
-from .errors import DegenerateCorpusError, StateLensError, TrainingDivergedError
+from .errors import StateLensError
 from .feature_extract import RuleTable, default_rules, label_set_from_rules, load_rules
 from .gcn_core import TrainConfig
 from .graph_pipeline import (
@@ -56,8 +55,24 @@ log = logging.getLogger("statelens")
 T = TypeVar("T")
 
 
-def _diagnostic(**fields) -> None:
-    print(json.dumps({"level": "error", **fields}), file=sys.stderr)
+def _diagnostic(exc: Exception, path: str | None = None) -> int:
+    """Write `exc` to stderr as one JSON line and return its exit code. A
+    StateLensError gives its own code, path (else `path`) and exit code; an
+    OSError is an `io-error` naming `path`, else its file; anything else is an
+    `internal-error` naming where it was raised."""
+    message, status, where = str(exc), 2, None
+    if isinstance(exc, StateLensError):
+        path, code, status = exc.path or path, exc.code or type(exc).__name__, exc.exit_code
+    elif isinstance(exc, OSError):
+        path, code = path or exc.filename, "io-error"
+    else:  # never a traceback, and never exit 1 (defects found)
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        code, message = "internal-error", f"{type(exc).__name__}: {exc}"
+        where = f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}"
+    fields = {"path": path, "code": code, "message": message, "where": where}
+    line = {"level": "error", **{key: str(value) for key, value in fields.items() if value is not None}}
+    print(json.dumps(line), file=sys.stderr)
+    return status
 
 
 class _JsonLineFormatter(logging.Formatter):
@@ -73,22 +88,20 @@ class _JsonLineFormatter(logging.Formatter):
 _LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
-def _configure_logging() -> bool:
+def _configure_logging() -> None:
     """Send `statelens` log records to the current stderr as JSON lines, at
     the level STATELENS_LOG names in any case (unset or empty: WARNING).
-    Any other value gets one diagnostic and False."""
+    Any other value is refused as `bad-log-level`."""
     raw = os.environ.get("STATELENS_LOG", "")
     level = raw.strip().upper() or "WARNING"
     if level not in _LOG_LEVELS:
         message = f"STATELENS_LOG must be one of {', '.join(_LOG_LEVELS)} (any case), got {raw!r}"
-        _diagnostic(code="bad-log-level", message=message)
-        return False
+        raise StateLensError(message, code="bad-log-level")
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(_JsonLineFormatter())
     log.handlers[:] = [handler]
     log.setLevel(level)
     log.propagate = False
-    return True
 
 
 def _ranged(convert, ok, wording: str):
@@ -141,8 +154,7 @@ def _each_file(paths: Iterable[str], work: Callable[[str], T]) -> Iterator[T | N
             with _collector_paused():
                 result = work(path)
         except (OSError, StateLensError) as exc:
-            code = "io-error" if isinstance(exc, OSError) else type(exc).__name__
-            _diagnostic(path=str(path), code=code, message=str(exc))
+            _diagnostic(exc, path)
             result = None
         yield result
 
@@ -170,11 +182,7 @@ def _labeled_graphs(args) -> tuple[list[ContractGraph], int]:
 
 def cmd_gen(args) -> int:
     out_dir = Path(args.out)
-    try:
-        synth_generate(args.pairs, seed=args.seed, out_dir=out_dir)
-    except OSError as exc:
-        _diagnostic(path=str(out_dir), code="io-error", message=str(exc))
-        return 2
+    synth_generate(args.pairs, seed=args.seed, out_dir=out_dir)
     print(out_dir / "manifest.jsonl")
     return 0
 
@@ -213,34 +221,25 @@ def cmd_train(args) -> int:
     )
     pruned, failed = _labeled_graphs(args)
     if len(pruned) < max(2, args.folds):
-        _diagnostic(code="too-small", message=f"only {len(pruned)} usable contracts")
-        return 2
-    try:
-        if args.folds:
-            fold_metrics = []
-            folds = kfold_indices(len(pruned), args.folds, config.seed)
-            for fold, (train_idx, test_idx) in enumerate(folds, 1):
-                train = [pruned[i] for i in train_idx]
-                test = [pruned[i] for i in test_idx]
-                _, history, _ = _train_once(train, test, config, args.dim)
-                _log_epochs(history, fold=fold)
-                fold_metrics.append(history[-1].held_out)
-            out = {
-                "folds": [m.to_json_dict() for m in fold_metrics],
-                "mean_acc": sum(m.acc for m in fold_metrics if m.acc is not None)
-                / len(fold_metrics),
-            }
-            print(json.dumps(out, sort_keys=True))
-            return 2 if failed else 0
-        train, test = split_items(pruned, [g.label for g in pruned], config.seed)
-        model, history, vocab = _train_once(train, test, config, args.dim)
-        _log_epochs(history)
-    except DegenerateCorpusError as exc:
-        _diagnostic(code="degenerate-corpus", message=str(exc))
-        return 3
-    except TrainingDivergedError as exc:  # nothing is written
-        _diagnostic(code="diverged", message=str(exc))
-        return 2
+        raise StateLensError(f"only {len(pruned)} usable contracts", code="too-small")
+    if args.folds:
+        fold_metrics = []
+        folds = kfold_indices(len(pruned), args.folds, config.seed)
+        for fold, (train_idx, test_idx) in enumerate(folds, 1):
+            train = [pruned[i] for i in train_idx]
+            test = [pruned[i] for i in test_idx]
+            _, history, _ = _train_once(train, test, config, args.dim)
+            _log_epochs(history, fold=fold)
+            fold_metrics.append(history[-1].held_out)
+        out = {
+            "folds": [m.to_json_dict() for m in fold_metrics],
+            "mean_acc": sum(m.acc for m in fold_metrics if m.acc is not None) / len(fold_metrics),
+        }
+        print(json.dumps(out, sort_keys=True))
+        return 2 if failed else 0
+    train, test = split_items(pruned, [g.label for g in pruned], config.seed)
+    model, history, vocab = _train_once(train, test, config, args.dim)
+    _log_epochs(history)
     model.save(args.model)
     save_vocabulary(args.vocab, vocab)
     log.info("model written to %s, vocabulary to %s", args.model, args.vocab)
@@ -248,25 +247,14 @@ def cmd_train(args) -> int:
     return 2 if failed else 0
 
 
-def _load_model_and_vocab(args) -> tuple[det.GcnModel, Vocabulary] | None:
-    for path in (args.model, args.vocab):
-        if not Path(path).exists():
-            _diagnostic(path=str(path), code="missing-file", message=f"not found: {path}")
-            return None
+def _load_model_and_vocab(args) -> tuple[det.GcnModel, Vocabulary]:
     model = det.GcnModel.load(args.model)
     vocab = load_vocabulary(args.vocab)
     if model.vocab_fingerprint and model.vocab_fingerprint != vocab.fingerprint():
-        _diagnostic(
-            code="vocab-mismatch",
-            message="model was trained against a different vocabulary file",
-        )
-        return None
+        raise StateLensError("model was trained against a different vocabulary file", code="vocab-mismatch")
     if model.dim != vocab.dim:
-        _diagnostic(
-            code="shape-mismatch",
-            message=f"model expects {model.dim}-wide embeddings, vocabulary has {vocab.dim}",
-        )
-        return None
+        message = f"model expects {model.dim}-wide embeddings, vocabulary has {vocab.dim}"
+        raise StateLensError(message, code="shape-mismatch")
     return model, vocab
 
 
@@ -280,12 +268,8 @@ def cmd_detect(args) -> int:
         names = Counter(map(_report_name, args.paths))
         if clashing := [p for p in args.paths if names[_report_name(p)] > 1]:
             message = "inputs would overwrite each other's report: " + ", ".join(clashing)
-            _diagnostic(path=str(out_dir), code="report-name-collision", message=message)
-            return 2
-    loaded = _load_model_and_vocab(args)
-    if loaded is None:
-        return 2
-    model, vocab = loaded
+            raise StateLensError(message, code="report-name-collision", path=str(out_dir))
+    model, vocab = _load_model_and_vocab(args)
     rules = _load_rule_table(args.rules)
     label_set = label_set_from_rules(rules)
     fingerprint = model.fingerprint()
@@ -318,15 +302,11 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    loaded = _load_model_and_vocab(args)
-    if loaded is None:
-        return 2
-    model, vocab = loaded
+    model, vocab = _load_model_and_vocab(args)
     pruned, failed = _labeled_graphs(args)
     graphs = [normalize(embed_nodes(graph, vocab)) for graph in pruned]
     if not graphs:
-        _diagnostic(code="empty-test-set", message="no usable contracts in manifest")
-        return 2
+        raise StateLensError("no usable contracts in manifest", code="empty-test-set")
     metrics = det.evaluate(model, graphs, threshold=args.threshold)
     print(json.dumps(metrics.to_json_dict(), sort_keys=True))
     return 2 if failed else 0
@@ -427,25 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if not _configure_logging():  # before parsing: no command runs
-        return 2
-    args = build_parser().parse_args(argv)
     try:
+        _configure_logging()  # before parsing: a bad level runs no command
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except StateLensError as exc:
-        _diagnostic(code=type(exc).__name__, message=str(exc))
-        return 2
-    except OSError as exc:
-        _diagnostic(code="io-error", message=str(exc))
-        return 2
-    except Exception as exc:  # never a traceback, and never exit 1 (defects found)
-        frame = traceback.extract_tb(exc.__traceback__)[-1]
-        _diagnostic(
-            code="internal-error",
-            message=f"{type(exc).__name__}: {exc}",
-            where=f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}",
-        )
-        return 2
+    except Exception as exc:
+        return _diagnostic(exc)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence, TypeVar
 
 from .ast_ingest import AstTree, parse_ast_json, read_document
-from .errors import BadLabelError, MissingFileError, SchemaViolationError
+from .errors import BadLabelError, SchemaViolationError, in_file
 
 LABELS = ("defective", "clean")
 TRAIN_FRACTION = 0.9  # of each label's items, rounded, on the training side of a split
@@ -36,35 +36,34 @@ def load_corpus(manifest_path: str | Path) -> list[tuple[str, str]]:
     """Read a JSON-lines manifest of {ast_path, label} records into
     (ast_path, label) pairs, ast_path resolved relative to the manifest.
 
-    Raises MissingFileError for a missing manifest, SchemaViolationError for
-    a line that is not a JSON record with both fields, or BadLabelError;
-    each names the line. The AST files are not opened here.
+    Raises OSError, SchemaViolationError for a line that is not a JSON record
+    with both fields, or BadLabelError; each names the line, with the manifest
+    as its `path`. The AST files are not opened here.
     """
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise MissingFileError(f"manifest not found: {manifest_path}")
     base = manifest_path.parent
     records: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(read_document(manifest_path).splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolationError(
-                f"{manifest_path}:{lineno}: manifest line is not JSON: {exc.msg}"
-            ) from None
-        if not isinstance(record, dict) or not isinstance(record.get("ast_path"), str) or "label" not in record:
-            raise SchemaViolationError(
-                f"{manifest_path}:{lineno}: record needs a string ast_path and a label"
-            )
-        label = record["label"]
-        if label not in LABELS:
-            raise BadLabelError(
-                f"{manifest_path}:{lineno}: label must be one of {LABELS}, got {label!r}"
-            )
-        records.append((str(base / record["ast_path"]), label))
+    with in_file(manifest_path):
+        for lineno, raw in enumerate(read_document(manifest_path).splitlines(), 1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaViolationError(
+                    f"{manifest_path}:{lineno}: manifest line is not JSON: {exc.msg}"
+                ) from None
+            if not isinstance(record, dict) or not isinstance(record.get("ast_path"), str) or "label" not in record:
+                raise SchemaViolationError(
+                    f"{manifest_path}:{lineno}: record needs a string ast_path and a label"
+                )
+            label = record["label"]
+            if label not in LABELS:
+                raise BadLabelError(
+                    f"{manifest_path}:{lineno}: label must be one of {LABELS}, got {label!r}"
+                )
+            records.append((str(base / record["ast_path"]), label))
     return records
 
 
@@ -93,7 +92,8 @@ def split_items(items: Sequence[T], labels: Sequence[str], seed: int = 42) -> tu
 
 
 def kfold_indices(n: int, folds: int, seed: int = 42) -> list[tuple[list[int], list[int]]]:
-    """Shuffled contiguous folds; each item lands in exactly one test fold."""
+    """Fold k tests every `folds`-th item of one seeded shuffle from position
+    k (strided slices, not contiguous runs); each item is in one test fold."""
     order = list(range(n))
     random.Random(seed).shuffle(order)
     chunks = [order[i::folds] for i in range(folds)]

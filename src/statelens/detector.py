@@ -11,7 +11,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import DegenerateCorpusError, TrainingDivergedError
+from .errors import DegenerateCorpusError, TrainingDivergedError, in_file
 from .gcn_core import (
     DEFECTIVE,
     ForwardTrace,
@@ -99,7 +99,8 @@ class GcnModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "GcnModel":
-        params, fingerprint = params_from_bytes(Path(path).read_bytes())
+        with in_file(path):
+            params, fingerprint = params_from_bytes(Path(path).read_bytes())
         return cls(params=params, vocab_fingerprint=fingerprint)
 
 

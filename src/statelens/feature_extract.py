@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .ast_ingest import AstNode, AstTree, read_document, subtree_preorder
-from .errors import MalformedJsonError, SchemaViolationError
+from .errors import MalformedJsonError, SchemaViolationError, in_file
 
 
 class DependencyCategory(Enum):
@@ -152,13 +152,14 @@ def parse_rules(text: str) -> list[Rule]:
 
 def load_rules(path: str | Path) -> list[Rule]:
     """The rules in a UTF-8 file; undecodable bytes or a file without rules
-    raise SchemaViolationError naming the file, like any other rule-table fault."""
-    try:
-        rules = parse_rules(read_document(path))
-    except MalformedJsonError as exc:
-        raise SchemaViolationError(str(exc)) from None
-    if not rules:  # it would leave every contract without a graph
-        raise SchemaViolationError(f"{path}: no rules")
+    raise SchemaViolationError. Every fault carries the file as its `path`."""
+    with in_file(path):
+        try:
+            rules = parse_rules(read_document(path))
+        except MalformedJsonError as exc:
+            raise SchemaViolationError(str(exc)) from None
+        if not rules:  # it would leave every contract without a graph
+            raise SchemaViolationError(f"{path}: no rules")
     return rules
 
 

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ast_ingest import AstTree
-from .errors import EmptyGraphError, SchemaViolationError
+from .errors import EmptyGraphError, SchemaViolationError, in_file
 from .feature_extract import (
     EdgeTuple,
     LabelSet,
@@ -131,13 +131,14 @@ def save_vocabulary(path: str | Path, vocab: Vocabulary) -> None:
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
     """Read a vocabulary file; one that is not valid JSON of the shape
-    `Vocabulary.to_json_dict` writes raises SchemaViolationError."""
-    try:
-        return Vocabulary.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise SchemaViolationError(
-            f"{path}: not a vocabulary file: {type(exc).__name__}: {exc}"
-        ) from None
+    `Vocabulary.to_json_dict` writes raises SchemaViolationError with `path`."""
+    with in_file(path):
+        try:
+            return Vocabulary.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise SchemaViolationError(
+                f"{path}: not a vocabulary file: {type(exc).__name__}: {exc}"
+            ) from None
 
 
 @dataclass

@@ -42,10 +42,8 @@ def test_empty_document(document):
 
 
 def test_malformed_json_reports_byte_offset():
-    with pytest.raises(MalformedJsonError) as err:
+    with pytest.raises(MalformedJsonError, match="invalid JSON at byte 36: "):
         parse_ast_json('{"id": 1, "nodeType": "SourceUnit", ')
-    assert isinstance(err.value.offset, int)
-    assert err.value.offset > 0
 
 
 def test_missing_id_rejected():

@@ -603,6 +603,12 @@ def test_detect_corrupt_model_exit_two(trained, corpus_dir, tmp_path, capsys, co
     assert _single_error_line(captured.err)["code"] == "SchemaViolationError"
 
 
+def _non_finite_vocab(text: str) -> str:
+    vocab = json.loads(text)
+    vocab["embedding"][1][0] = math.nan
+    return json.dumps(vocab)
+
+
 VOCAB_CORRUPTIONS = {
     "malformed-json": lambda text: text[: len(text) // 2],
     "not-utf8": lambda text: "\udcff",
@@ -611,6 +617,7 @@ VOCAB_CORRUPTIONS = {
     "wrong-type": lambda text: json.dumps({**json.loads(text), "word2idx": [1, 2]}),
     "flat-embedding": lambda text: json.dumps({**json.loads(text), "embedding": [0.5, 0.5]}),
     "index-out-of-range": lambda text: json.dumps({**json.loads(text), "word2idx": {"x": 10**6}}),
+    "non-finite": _non_finite_vocab,
 }
 
 
@@ -625,6 +632,68 @@ def test_detect_corrupt_vocab_exit_two(trained, corpus_dir, tmp_path, capsys, co
     captured = capsys.readouterr()
     assert captured.out == ""
     assert _single_error_line(captured.err)["code"] == "SchemaViolationError"
+
+
+RULES_FAULTS = {
+    "unknown-category": b"Identifier -> Nope\n",
+    "missing-arrow": b"Identifier Function\n",
+    "non-utf8": b"\xff\xfeFunctionDefinition -> Function\n",
+    "no-rules": b"# comments only\n",
+}
+
+MANIFEST_FAULTS = {
+    "not-json": "{oops",
+    "bad-label": json.dumps({"ast_path": "x.ast.json", "label": "meh"}),
+    "missing-ast-path": json.dumps({"label": "clean"}),
+}
+
+
+def _on_text(fault):
+    return lambda blob: fault(blob.decode("utf-8")).encode("utf-8", errors="surrogateescape")
+
+
+FILE_FAULTS = {  # each maps the good file's bytes (none for rules) to a faulty file's
+    **{("model", name): fault for name, fault in MODEL_CORRUPTIONS.items()},
+    **{("vocab", name): _on_text(fault) for name, fault in VOCAB_CORRUPTIONS.items()},
+    **{("rules", name): lambda _, content=content: content for name, content in RULES_FAULTS.items()},
+    **{("manifest", name): lambda _, line=line: line.encode() + b"\n" for name, line in MANIFEST_FAULTS.items()},
+}
+
+
+@pytest.mark.parametrize(("kind", "fault"), sorted(FILE_FAULTS))
+def test_fault_inside_an_input_file_names_it_as_path(trained, corpus_dir, tmp_path, capsys, kind, fault):
+    files = {"model": trained["model"], "vocab": trained["vocab"], "manifest": corpus_dir / "manifest.jsonl"}
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_bytes(FILE_FAULTS[kind, fault](files[kind].read_bytes() if kind in files else b""))
+    files[kind] = bad
+    argv = ["eval", "--model", str(files["model"]), "--vocab", str(files["vocab"]), "--manifest", str(files["manifest"])]
+    assert main([*argv, "--rules", str(bad)] if kind == "rules" else argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _single_error_line(captured.err)["path"] == str(bad)
+
+
+@pytest.mark.parametrize(
+    "missing", ["model", "vocab", "train-manifest", "eval-manifest", "rules", "inspect-vocab", "ast"]
+)
+def test_missing_input_is_one_io_error_naming_it_as_path(trained, corpus_dir, tmp_path, capsys, missing):
+    ghost = str(tmp_path / "ghost")
+    model, vocab, ast = str(trained["model"]), str(trained["vocab"]), str(corpus_dir / "pair0000_clean.ast.json")
+    outputs = ["--model", str(tmp_path / "m.sgm"), "--vocab", str(tmp_path / "v.json")]
+    argv = {
+        "model": ["detect", "--model", ghost, "--vocab", vocab, ast],
+        "vocab": ["detect", "--model", model, "--vocab", ghost, ast],
+        "train-manifest": ["train", "--manifest", ghost, *outputs],
+        "eval-manifest": ["eval", "--model", model, "--vocab", vocab, "--manifest", ghost],
+        "rules": ["detect", "--model", model, "--vocab", vocab, "--rules", ghost, ast],
+        "inspect-vocab": ["inspect", "--vocab", ghost, ast],
+        "ast": ["detect", "--model", model, "--vocab", vocab, ghost],
+    }[missing]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diagnostic = _single_error_line(captured.err)
+    assert diagnostic["code"] == "io-error" and diagnostic["path"] == ghost
 
 
 def test_log_records_are_json_lines(corpus_dir, tmp_path, capsys, monkeypatch):

@@ -12,11 +12,7 @@ from statelens.corpus import (
     split_items,
     synth_generate,
 )
-from statelens.errors import (
-    BadLabelError,
-    MissingFileError,
-    SchemaViolationError,
-)
+from statelens.errors import BadLabelError, SchemaViolationError
 
 from helpers import is_defective_shaped, json_shape
 
@@ -64,7 +60,7 @@ def test_load_bad_label_names_line(tmp_path):
 
 
 def test_load_missing_manifest(tmp_path):
-    with pytest.raises(MissingFileError):
+    with pytest.raises(FileNotFoundError):
         load_corpus(tmp_path / "nope.jsonl")
 
 

@@ -492,10 +492,48 @@ def _check_edge_invariants(tree) -> set[EdgeType]:
     return {e.e_t for e in edges}
 
 
-@given(st.one_of(random_tree_docs(), _referencing_docs()))
+@st.composite
+def _every_edge_kind_docs(draw) -> dict:
+    """A `random_tree_docs` scaffold with these shapes placed under random
+    nodes of it, so that every edge kind occurs: an Assignment whose left
+    side and right-side subtree hold Identifiers referring to a
+    VariableDeclaration (DataDep, DeclRef), a FunctionCall whose Identifier
+    child refers to a FunctionDefinition (FuncCall), and an IfStatement with
+    a categorized node under it (ControlFlow)."""
+    doc = draw(random_tree_docs())
+    scaffold = list(walk_json_nodes(doc))
+    ids = iter(range(len(scaffold) + 1, 10**6))
+
+    def node(node_type: str, *children: dict, **fields) -> dict:
+        return {"id": next(ids), "nodeType": node_type, **fields, "nodes": list(children)}
+
+    def wrapped(inner: dict) -> dict:  # under 0-2 random wrappers
+        for wrapper in draw(st.lists(st.sampled_from(["BinaryOperation", "UnaryOperation", "Block"]), max_size=2)):
+            inner = node(wrapper, inner)
+        return inner
+
+    def refer(target: dict) -> dict:
+        return node("Identifier", referencedDeclaration=target["id"])
+
+    declaration, function = node("VariableDeclaration", name="x"), node("FunctionDefinition", name="f")
+    shapes = [
+        declaration,
+        function,
+        node("Assignment", refer(declaration), wrapped(refer(declaration))),
+        node("FunctionCall", refer(function)),
+        node("IfStatement", wrapped(node(draw(st.sampled_from(["Literal", "Return", "BinaryOperation"]))))),
+    ]
+    for shape in shapes:
+        siblings = draw(st.sampled_from(scaffold))["nodes"]
+        siblings.insert(draw(st.integers(0, len(siblings))), shape)
+    return doc
+
+
+@given(st.one_of(random_tree_docs(), _referencing_docs()), _every_edge_kind_docs())
 @settings(max_examples=150, deadline=None)
-def test_edges_of_random_documents_keep_the_invariants(doc):
+def test_edges_of_random_documents_keep_the_invariants(doc, every_kind_doc):
     _check_edge_invariants(parse_ast_json(json.dumps(doc)))
+    assert _check_edge_invariants(parse_ast_json(json.dumps(every_kind_doc))) == set(EdgeType)
 
 
 def test_edges_of_generated_contracts_and_the_proxy_keep_the_invariants(proxy_tree):
