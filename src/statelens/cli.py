@@ -217,7 +217,6 @@ def cmd_train(args) -> int:
         seed=args.seed,
         hidden_width=args.hidden,
         l2_penalty=args.l2,
-        optimizer=args.optimizer,
     )
     pruned, failed = _labeled_graphs(args)
     if len(pruned) < max(2, args.folds):
@@ -373,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--hidden", type=_positive_int, default=32)
     p_train.add_argument("--dim", type=_positive_int, default=64)
     p_train.add_argument("--l2", type=_nonnegative_float, default=5e-4)
-    p_train.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
     p_train.add_argument("--rules", default=None, help="custom classification rules file")
     p_train.add_argument("--folds", type=_fold_count, default=0, help="k-fold cross-validation instead of a single split")
     p_train.set_defaults(func=cmd_train)

@@ -1,4 +1,4 @@
-"""Training, prediction, the five evaluation metrics, and defect reports."""
+"""Training, verdicts, the five evaluation metrics, and defect reports."""
 
 from __future__ import annotations
 
@@ -118,16 +118,8 @@ class EpochStats:
         }
 
 
-def predict(
-    model: GcnModel, graph: NormalizedGraph, threshold: float = 0.5
-) -> tuple[str, float]:
-    """Per-contract verdict; probability at exactly the threshold counts as
-    defective (the conservative call for an auditor)."""
-    probability = forward(model.params, graph).probability
-    return _verdict(probability, threshold), probability
-
-
 def _verdict(probability: float, threshold: float) -> str:
+    """Exactly at the threshold counts as defective: the conservative call for an auditor."""
     return "defective" if probability >= threshold else "clean"
 
 
@@ -137,7 +129,7 @@ def evaluate(
     """Confusion counts and metrics over labeled graphs."""
     tp = fp = tn = fn = 0
     for graph in testset:
-        verdict, _ = predict(model, graph, threshold)
+        verdict = _verdict(forward(model.params, graph).probability, threshold)
         if graph.label == "defective":
             if verdict == "defective":
                 tp += 1

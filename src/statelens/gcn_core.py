@@ -81,7 +81,6 @@ class TrainConfig:
     seed: int = 42
     hidden_width: int = 32
     l2_penalty: float = 5e-4
-    optimizer: str = "adam"  # "adam" or "sgd"
 
 
 @dataclass
@@ -121,32 +120,18 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum()
 
 
-def _propagate(params: GcnParams, s_hat, sh0: np.ndarray):
-    """The forward computation from S @ X on: (h1, S @ h1, h2, pooled,
-    logits, probs). `forward` and `loss_and_grads` both run exactly this."""
+def forward(params: GcnParams, graph: NormalizedGraph, sx: np.ndarray | None = None) -> ForwardTrace:
+    """Two propagation layers relu((S @ H) @ W), then the readout. `sx` is
+    S @ X for this graph when the caller has it; passing it changes no bit."""
+    s_hat = graph.s_hat
+    sh0 = s_hat @ graph.features if sx is None else sx
     h1 = relu(sh0 @ params.w1)
     sh1 = s_hat @ h1
     h2 = relu(sh1 @ params.w2)
     pooled = np.add.reduce(h2, axis=0) / h2.shape[0]  # the column mean
     logits = pooled @ params.w_out + params.b_out
-    return h1, sh1, h2, pooled, logits, softmax(logits)
-
-
-def forward(params: GcnParams, graph: NormalizedGraph) -> ForwardTrace:
-    """Two propagation layers relu((S @ H) @ W), then the readout."""
-    s_hat, h0 = graph.s_hat, graph.features
-    sh0 = s_hat @ h0
-    h1, sh1, h2, pooled, logits, probs = _propagate(params, s_hat, sh0)
-    return ForwardTrace(
-        sh0=sh0,
-        h1=h1,
-        sh1=sh1,
-        h2=h2,
-        pooled=pooled,
-        logits=logits,
-        probs=probs,
-        probability=float(probs[DEFECTIVE]),
-    )
+    probs = softmax(logits)
+    return ForwardTrace(sh0, h1, sh1, h2, pooled, logits, probs, float(probs[DEFECTIVE]))
 
 
 def loss_and_grads(
@@ -169,25 +154,24 @@ def loss_and_grads(
     fresh `GcnParams` is allocated.
     """
     target = CLASSES.index(label)
-    s_hat = graph.s_hat
-    sh0 = s_hat @ graph.features if sx is None else sx
-    h1, sh1, h2, pooled, _, probs = _propagate(params, s_hat, sh0)
-    loss = -float(np.log(probs[target])) + 0.5 * l2_penalty * params.norm_sq()
+    trace = forward(params, graph, sx)
+    loss = -float(np.log(trace.probs[target])) + 0.5 * l2_penalty * params.norm_sq()
     if out is None:
         out = GcnParams.from_flat(np.empty_like(params.flat), params.dim, params.hidden)
 
     d_logits = out.b_out
-    d_logits[:] = probs
+    d_logits[:] = trace.probs
     d_logits[target] -= 1.0
-    np.multiply(pooled[:, None], d_logits, out=out.w_out)  # outer(pooled, d_logits)
+    np.multiply(trace.pooled[:, None], d_logits, out=out.w_out)  # outer(pooled, d_logits)
     d_pooled = params.w_out @ d_logits
 
+    h2 = trace.h2
     d_z2 = (d_pooled / h2.shape[0]) * (h2 > 0)  # mean-pool spreads d_pooled over the n rows
-    np.matmul(sh1.T, d_z2, out=out.w2)
-    d_h1 = s_hat @ (d_z2 @ params.w2.T)  # S is symmetric, so S.T @ == S @
+    np.matmul(trace.sh1.T, d_z2, out=out.w2)
+    d_h1 = graph.s_hat @ (d_z2 @ params.w2.T)  # S is symmetric, so S.T @ == S @
 
-    d_z1 = d_h1 * (h1 > 0)
-    np.matmul(sh0.T, d_z1, out=out.w1)
+    d_z1 = d_h1 * (trace.h1 > 0)
+    np.matmul(trace.sh0.T, d_z1, out=out.w1)
 
     if l2_penalty:
         out.flat += l2_penalty * params.flat
@@ -197,37 +181,29 @@ def loss_and_grads(
 @dataclass
 class OptimizerState:
     """Step count, Adam moments and two work vectors, each laid out like
-    `GcnParams.flat` and allocated on the first step, then reused."""
+    `GcnParams.flat` and allocated together on the first step, then reused."""
 
     step: int = 0
-    m: np.ndarray | None = None  # first moment (adam)
-    v: np.ndarray | None = None  # second moment (adam)
+    m: np.ndarray | None = None  # first moment
+    v: np.ndarray | None = None  # second moment
     scratch: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def optimizer_step(
     state: OptimizerState, params: GcnParams, grads: GcnParams, config: TrainConfig
 ) -> None:
-    """One SGD or bias-corrected Adam update of `params.flat` and `state`,
-    in place. Each element sees the operations, in the order, of
-    p - lr * g (SGD) or
+    """One bias-corrected Adam update of `params.flat` and `state`, in place.
+    Each element sees the operations, in the order, of
     m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
-    p - lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps) (Adam), with
+    p - lr * (m / (1-b1**t)) / (sqrt(v / (1-b2**t)) + eps), with
     b1, b2 and eps the ADAM_* constants."""
-    lr = config.learning_rate
     p, g = params.flat, grads.flat
-    if state.scratch is None:
-        state.scratch = (np.empty_like(p), np.empty_like(p))
-    step, denom = state.scratch
-    state.step += 1
-    if config.optimizer == "sgd":
-        np.multiply(g, lr, out=step)
-        p -= step
-        return
-
     if state.m is None:
         state.m, state.v = np.zeros_like(p), np.zeros_like(p)
-    m, v, t = state.m, state.v, state.step
+        state.scratch = (np.empty_like(p), np.empty_like(p))
+    m, v, (step, denom) = state.m, state.v, state.scratch
+    state.step += 1
+    t = state.step
     m *= ADAM_BETA1
     np.multiply(g, 1 - ADAM_BETA1, out=step)
     m += step
@@ -236,7 +212,7 @@ def optimizer_step(
     step *= g
     v += step
     np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
-    step *= lr
+    step *= config.learning_rate
     np.divide(v, 1.0 - ADAM_BETA2**t, out=denom)
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS

@@ -19,8 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ast_ingest import AstTree
-from .errors import EmptyGraphError, SchemaViolationError, in_file
+from .ast_ingest import AstTree, read_document
+from .errors import EmptyGraphError, MalformedJsonError, SchemaViolationError, in_file
 from .feature_extract import (
     EdgeTuple,
     LabelSet,
@@ -130,11 +130,13 @@ def save_vocabulary(path: str | Path, vocab: Vocabulary) -> None:
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    """Read a vocabulary file; one that is not valid JSON of the shape
-    `Vocabulary.to_json_dict` writes raises SchemaViolationError with `path`."""
+    """Read a vocabulary file; one that is not UTF-8, or not valid JSON of the
+    shape `Vocabulary.to_json_dict` writes, raises SchemaViolationError with `path`."""
     with in_file(path):
         try:
-            return Vocabulary.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+            return Vocabulary.from_json_dict(json.loads(read_document(path)))
+        except MalformedJsonError as exc:
+            raise SchemaViolationError(str(exc)) from None
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise SchemaViolationError(
                 f"{path}: not a vocabulary file: {type(exc).__name__}: {exc}"

@@ -298,13 +298,9 @@ def reference_loss_and_grads(
 def reference_optimizer_step(
     state: OptimizerState, params: GcnParams, grads: GcnParams, config: TrainConfig
 ) -> tuple[GcnParams, OptimizerState]:
-    """Functional SGD / bias-corrected Adam: fresh params and fresh state."""
+    """Functional bias-corrected Adam: fresh params and fresh state."""
     lr = config.learning_rate
     p, g = params.flat, grads.flat
-    if config.optimizer == "sgd":
-        updated = p - lr * g
-        next_state = OptimizerState(step=state.step + 1)
-        return GcnParams.from_flat(updated, params.dim, params.hidden), next_state
     t = state.step + 1
     m_prev = state.m if state.m is not None else np.zeros_like(p)
     v_prev = state.v if state.v is not None else np.zeros_like(p)

@@ -1,7 +1,9 @@
+import argparse
 import gc
 import json
 import logging
 import math
+import re
 import struct
 import subprocess
 import sys
@@ -658,6 +660,7 @@ FILE_FAULTS = {  # each maps the good file's bytes (none for rules) to a faulty 
     **{("rules", name): lambda _, content=content: content for name, content in RULES_FAULTS.items()},
     **{("manifest", name): lambda _, line=line: line.encode() + b"\n" for name, line in MANIFEST_FAULTS.items()},
 }
+FAULT_CODES = {("manifest", "bad-label"): "BadLabelError"}  # every other fault: SchemaViolationError
 
 
 @pytest.mark.parametrize(("kind", "fault"), sorted(FILE_FAULTS))
@@ -670,7 +673,11 @@ def test_fault_inside_an_input_file_names_it_as_path(trained, corpus_dir, tmp_pa
     assert main([*argv, "--rules", str(bad)] if kind == "rules" else argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert _single_error_line(captured.err)["path"] == str(bad)
+    diagnostic = _single_error_line(captured.err)
+    assert diagnostic["path"] == str(bad)
+    assert diagnostic["code"] == FAULT_CODES.get((kind, fault), "SchemaViolationError")
+    if (kind, fault) == ("vocab", "not-utf8"):  # worded like every other reader's
+        assert diagnostic["message"] == f"{bad}: not UTF-8 at byte 0: invalid start byte"
 
 
 @pytest.mark.parametrize(
@@ -1047,3 +1054,28 @@ def test_vocabulary_with_a_non_finite_value_is_refused(
     assert captured.out == ""
     diagnostic = _single_error_line(captured.err)
     assert diagnostic["code"] == "SchemaViolationError" and "not finite" in diagnostic["message"]
+
+
+def _options_by_subcommand() -> dict[str, list[argparse.Action]]:
+    """Every optional argument of every subcommand, `-h` aside."""
+    parser = statelens.cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: [a for a in subparser._actions if a.option_strings and not isinstance(a, argparse._HelpAction)]
+        for command, subparser in sub.choices.items()
+    }
+
+
+def test_readme_cli_section_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    options = _options_by_subcommand()
+    for command, actions in options.items():
+        for option in (o for action in actions for o in action.option_strings):
+            assert re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", readme), f"{command} {option}"
+    defaults = re.findall(r"`(--[\w-]+) ([^`]+)`", re.search(r"Defaults:(.*?)\.\s", readme, re.S)[1])
+    assert defaults
+    for option, text in defaults:
+        having = [a for actions in options.values() for a in actions if option in a.option_strings]
+        assert having, option
+        for action in having:
+            assert (action.type or str)(text) == action.default, option

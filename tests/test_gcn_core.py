@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -202,33 +203,17 @@ def test_gradients_match_finite_differences():
 def test_zero_grads_leave_params_unchanged():
     params = random_params(np.random.default_rng(10), dim=3, hidden=2)
     zero = _zero_params(3, 2)
-    for optimizer in ("sgd", "adam"):
-        config = TrainConfig(optimizer=optimizer, learning_rate=0.1, epochs=1)
-        updated = GcnParams.from_flat(params.flat.copy(), params.dim, params.hidden)
-        optimizer_step(OptimizerState(), updated, zero, config)
-        for name in NAMES:
-            assert np.array_equal(getattr(updated, name), getattr(params, name))
-
-
-def test_sgd_scalar_step():
-    params = GcnParams(
-        w1=np.array([[1.0]]), w2=np.array([[1.0]]), w_out=np.array([[1.0, 1.0]]), b_out=np.zeros(2)
-    )
-    grads = GcnParams(
-        w1=np.array([[1.0]]), w2=np.zeros((1, 1)), w_out=np.zeros((1, 2)), b_out=np.zeros(2)
-    )
-    config = TrainConfig(optimizer="sgd", learning_rate=0.1, epochs=1)
-    state = OptimizerState()
-    optimizer_step(state, params, grads, config)
-    assert params.w1.tolist() == [[0.9]]
-    assert state.step == 1
+    updated = GcnParams.from_flat(params.flat.copy(), params.dim, params.hidden)
+    optimizer_step(OptimizerState(), updated, zero, TrainConfig(learning_rate=0.1, epochs=1))
+    for name in NAMES:
+        assert np.array_equal(getattr(updated, name), getattr(params, name))
 
 
 def test_adam_first_step_magnitude_and_sign():
     rng = np.random.default_rng(11)
     params = random_params(rng, dim=2, hidden=2)
     grads = random_params(rng, dim=2, hidden=2)
-    config = TrainConfig(optimizer="adam", learning_rate=1e-3, epochs=1)
+    config = TrainConfig(learning_rate=1e-3, epochs=1)
     updated = GcnParams.from_flat(params.flat.copy(), params.dim, params.hidden)
     state = OptimizerState()
     optimizer_step(state, updated, grads, config)
@@ -246,7 +231,7 @@ def test_adam_state_threading():
     rng = np.random.default_rng(12)
     params = random_params(rng, dim=2, hidden=2)
     grads = random_params(rng, dim=2, hidden=2)
-    config = TrainConfig(optimizer="adam", learning_rate=1e-2, epochs=1)
+    config = TrainConfig(learning_rate=1e-2, epochs=1)
     state = OptimizerState()
     for expected_step in (1, 2, 3):
         optimizer_step(state, params, grads, config)
@@ -261,8 +246,6 @@ def test_monotone_loss_on_separable_pair():
     defective.features = np.full((4, 8), 0.5)
     clean.features = np.full((4, 8), -0.5)
     params = init_params(8, 3, seed=1)
-    config = TrainConfig(optimizer="sgd", learning_rate=1e-2, epochs=1)
-    state = OptimizerState()
 
     def total_loss(p: GcnParams) -> float:
         return sum(loss_and_grads(p, g, g.label)[0] for g in (defective, clean))
@@ -271,14 +254,14 @@ def test_monotone_loss_on_separable_pair():
     for step in range(10):
         graph = (defective, clean)[step % 2]
         _, grads = loss_and_grads(params, graph, graph.label)
-        optimizer_step(state, params, grads, config)
+        params.flat -= 1e-2 * grads.flat  # a plain gradient step
         current = total_loss(params)
         assert current < previous
         previous = current
 
 
 def _reference_steps(params: GcnParams, graphs, config: TrainConfig) -> dict[str, np.ndarray]:
-    """Per-array SGD/Adam with L2, in the evaluation order the flat update must keep."""
+    """Per-array Adam with L2, in the evaluation order the flat update must keep."""
     p = {name: getattr(params, name).copy() for name in NAMES}
     m = {name: np.zeros_like(arr) for name, arr in p.items()}
     v = {name: np.zeros_like(arr) for name, arr in p.items()}
@@ -287,9 +270,6 @@ def _reference_steps(params: GcnParams, graphs, config: TrainConfig) -> dict[str
         _, raw = loss_and_grads(GcnParams(**p), graph, graph.label, 0.0)
         g = {name: getattr(raw, name) + l2 * p[name] for name in NAMES}
         for name in NAMES:
-            if config.optimizer == "sgd":
-                p[name] = p[name] - lr * g[name]
-                continue
             m[name] = ADAM_BETA1 * m[name] + (1 - ADAM_BETA1) * g[name]
             v[name] = ADAM_BETA2 * v[name] + (1 - ADAM_BETA2) * g[name] * g[name]
             bias1 = 1.0 - ADAM_BETA1**t
@@ -298,15 +278,14 @@ def _reference_steps(params: GcnParams, graphs, config: TrainConfig) -> dict[str
     return p
 
 
-@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-def test_flat_steps_equal_per_array_reference_bitwise(optimizer):
+def test_flat_steps_equal_per_array_reference_bitwise():
     rng = np.random.default_rng(21)
     graphs = [
         random_normalized_graph(rng, n=n, dim=5, label=label)
         for n, label in ((4, "clean"), (6, "defective"), (3, "clean"))
     ]
     params = random_params(rng, dim=5, hidden=3)
-    config = TrainConfig(optimizer=optimizer, learning_rate=0.05, l2_penalty=0.3, epochs=1)
+    config = TrainConfig(learning_rate=0.05, l2_penalty=0.3, epochs=1)
     expected = _reference_steps(params, graphs, config)
     state = OptimizerState()
     for graph in graphs:
@@ -324,10 +303,14 @@ def test_precomputed_sx_gives_bitwise_equal_gradients():
         g = random_normalized_graph(rng, n=n, dim=6)
         params = random_params(rng, dim=6, hidden=4)
         label = ("clean", "defective")[case % 2]
+        sx = g.s_hat @ g.features
         loss, grads = loss_and_grads(params, g, label, 5e-4)
-        loss_sx, grads_sx = loss_and_grads(params, g, label, 5e-4, sx=g.s_hat @ g.features)
+        loss_sx, grads_sx = loss_and_grads(params, g, label, 5e-4, sx=sx)
         assert loss_sx == loss
         assert np.array_equal(grads_sx.flat, grads.flat)
+        trace, trace_sx = forward(params, g), forward(params, g, sx=sx)
+        for field in dataclasses.fields(trace):
+            assert np.array_equal(getattr(trace_sx, field.name), getattr(trace, field.name)), field.name
 
 
 def test_forward_equals_allocating_reference_bitwise():
@@ -370,14 +353,13 @@ def test_out_buffer_reused_across_graphs_carries_nothing_over():
 
 
 @pytest.mark.parametrize("l2", [0.0, 5e-4])
-@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-def test_in_place_steps_equal_allocating_reference_bytes(optimizer, l2):
+def test_in_place_steps_equal_allocating_reference_bytes(l2):
     rng = np.random.default_rng(26)
     graphs = [
         random_normalized_graph(rng, n=int(rng.integers(1, 10)), dim=5, label=("clean", "defective")[k % 2])
         for k in range(12)
     ]
-    config = TrainConfig(optimizer=optimizer, learning_rate=0.05, l2_penalty=l2, epochs=1)
+    config = TrainConfig(learning_rate=0.05, l2_penalty=l2, epochs=1)
     params = random_params(rng, dim=5, hidden=3)
     ref_params = GcnParams.from_flat(params.flat.copy(), params.dim, params.hidden)
     buffer = params.flat
@@ -392,9 +374,8 @@ def test_in_place_steps_equal_allocating_reference_bytes(optimizer, l2):
         assert params.flat.tobytes() == ref_params.flat.tobytes()
     assert params.flat is buffer  # updated in place, never replaced
     assert state.step == ref_state.step == len(graphs)
-    if optimizer == "adam":
-        assert state.m.tobytes() == ref_state.m.tobytes()
-        assert state.v.tobytes() == ref_state.v.tobytes()
+    assert state.m.tobytes() == ref_state.m.tobytes()
+    assert state.v.tobytes() == ref_state.v.tobytes()
 
 
 # ---------------------------------------------------------------------------
