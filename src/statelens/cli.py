@@ -39,6 +39,7 @@ from .errors import StateLensError
 from .feature_extract import RuleTable, default_rules, label_set_from_rules, load_rules
 from .gcn_core import TrainConfig
 from .graph_pipeline import (
+    DEFAULT_EMBED_DIM,
     ContractGraph,
     Vocabulary,
     build_contract_graph,
@@ -362,16 +363,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.set_defaults(func=cmd_gen)
 
+    defaults = TrainConfig()
     p_train = sub.add_parser("train", help="train a detector from a labeled manifest")
     p_train.add_argument("--manifest", required=True)
     p_train.add_argument("--model", required=True, help="output model path")
     p_train.add_argument("--vocab", required=True, help="output vocabulary path")
-    p_train.add_argument("--seed", type=_nonnegative_int, default=42)
-    p_train.add_argument("--epochs", type=_positive_int, default=100)
-    p_train.add_argument("--lr", type=_positive_float, default=1e-3)
-    p_train.add_argument("--hidden", type=_positive_int, default=32)
-    p_train.add_argument("--dim", type=_positive_int, default=64)
-    p_train.add_argument("--l2", type=_nonnegative_float, default=5e-4)
+    p_train.add_argument("--seed", type=_nonnegative_int, default=defaults.seed)
+    p_train.add_argument("--epochs", type=_positive_int, default=defaults.epochs)
+    p_train.add_argument("--lr", type=_positive_float, default=defaults.learning_rate)
+    p_train.add_argument("--hidden", type=_positive_int, default=defaults.hidden_width)
+    p_train.add_argument("--dim", type=_positive_int, default=DEFAULT_EMBED_DIM)
+    p_train.add_argument("--l2", type=_nonnegative_float, default=defaults.l2_penalty)
     p_train.add_argument("--rules", default=None, help="custom classification rules file")
     p_train.add_argument("--folds", type=_fold_count, default=0, help="k-fold cross-validation instead of a single split")
     p_train.set_defaults(func=cmd_train)

@@ -1,10 +1,11 @@
 """Labeled corpora: manifest loading, deterministic splits, synthetic fixtures.
 
-The synthetic generator emits compact AST JSON directly (no compiler
-needed). Each pair shares one structural skeleton: the defective side has
-a public function that writes contract state with no guard at all, the
-clean side wraps the same write in a caller-equals-owner check. Names are
-randomized per contract so the classifier cannot key on strings.
+The synthetic generator builds compact AST JSON directly (no compiler
+needed) and writes it out: it parses nothing and holds one pair at a time.
+Each pair shares one structural skeleton: the defective side has a public
+function that writes contract state with no guard at all, the clean side
+wraps the same write in a caller-equals-owner check. Names are randomized
+per contract so the classifier cannot key on strings.
 """
 
 from __future__ import annotations
@@ -16,20 +17,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence, TypeVar
 
-from .ast_ingest import AstTree, parse_ast_json, read_document
+# parse_ast_json stays bound here: perfbench/layertrace.py wraps corpus.parse_ast_json.
+from .ast_ingest import parse_ast_json, read_document  # noqa: F401
 from .errors import BadLabelError, SchemaViolationError, in_file
 
 LABELS = ("defective", "clean")
 TRAIN_FRACTION = 0.9  # of each label's items, rounded, on the training side of a split
 
 T = TypeVar("T")
-
-
-@dataclass
-class LabeledContract:
-    path: str
-    tree: AstTree
-    label: str
 
 
 def load_corpus(manifest_path: str | Path) -> list[tuple[str, str]]:
@@ -357,16 +352,10 @@ def _build_contract_doc(spec: _PairSpec, rng: random.Random, guarded: bool) -> d
     )
 
 
-def synth_generate(
-    n_pairs: int, seed: int = 42, out_dir: str | Path | None = None
-) -> list[LabeledContract]:
-    """Emit n_pairs minimal pairs (defective, clean), deterministic per seed.
-
-    When out_dir is given, writes one AST JSON per contract plus
-    manifest.jsonl and a README describing each pair; returns the parsed
-    contracts either way.
-    """
-    contracts: list[LabeledContract] = []
+def synth_generate(n_pairs: int, seed: int, out_dir: str | Path) -> None:
+    """Write n_pairs minimal pairs (defective, clean), deterministic per seed,
+    to out_dir: one AST JSON per contract, manifest.jsonl and a README
+    naming each pair's contracts."""
     readme_lines = [
         "# Synthetic contract corpus",
         "",
@@ -376,39 +365,23 @@ def synth_generate(
         "caller-equals-owner check. Names are randomized, structure is shared.",
         "",
     ]
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
+    out_path = Path(out_dir)
+    out_path.mkdir(parents=True, exist_ok=True)
     manifest_lines = []
     for i in range(n_pairs):
         pair_rng = random.Random(seed * 1_000_003 + i)
         pair_spec = _draw_spec(pair_rng)
+        names = []
         for label, guarded in (("defective", False), ("clean", True)):
             doc = _build_contract_doc(pair_spec, pair_rng, guarded)
             file_name = f"pair{i:04d}_{label}.ast.json"
-            text = json.dumps(doc, indent=1)
-            path = str(out_path / file_name) if out_path is not None else file_name
-            if out_path is not None:
-                (out_path / file_name).write_text(text, encoding="utf-8")
-            tree = parse_ast_json(text, source_unit=path)
-            contracts.append(LabeledContract(path=path, tree=tree, label=label))
+            (out_path / file_name).write_text(json.dumps(doc, indent=1), encoding="utf-8")
             manifest_lines.append(json.dumps({"ast_path": file_name, "label": label}))
+            names.append(doc["nodes"][0]["name"])  # the ContractDefinition
         readme_lines.append(
-            f"- pair{i:04d}: defective={_root_contract_name(contracts[-2].tree)} "
-            f"clean={_root_contract_name(contracts[-1].tree)} "
+            f"- pair{i:04d}: defective={names[0]} clean={names[1]} "
             f"(state vars: {2 + len(pair_spec.extra_state_vars)}, "
             f"benign functions: {len(pair_spec.benign_kinds)})"
         )
-    if out_path is not None:
-        (out_path / "manifest.jsonl").write_text("\n".join(manifest_lines) + "\n", "utf-8")
-        (out_path / "README.md").write_text("\n".join(readme_lines) + "\n", "utf-8")
-    return contracts
-
-
-def _root_contract_name(tree: AstTree) -> str:
-    root = tree.nodes[tree.root_id]
-    for child_id in root.children:
-        child = tree.nodes[child_id]
-        if child.node_type == "ContractDefinition":
-            return child.name or "?"
-    return "?"
+    (out_path / "manifest.jsonl").write_text("\n".join(manifest_lines) + "\n", "utf-8")
+    (out_path / "README.md").write_text("\n".join(readme_lines) + "\n", "utf-8")

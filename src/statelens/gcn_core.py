@@ -35,7 +35,7 @@ def _param_shapes(dim: int, hidden: int) -> tuple[tuple[int, ...], ...]:
 
 
 def param_count(dim: int, hidden: int) -> int:
-    return dim * hidden + hidden * hidden + hidden * 2 + 2
+    return sum(math.prod(shape) for shape in _param_shapes(dim, hidden))
 
 
 class GcnParams:

@@ -8,6 +8,8 @@ walks), so tests never check an implementation against itself.
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -19,7 +21,8 @@ from statelens.feature_extract import (
     NodeTuple,
     label_set_from_rules,
 )
-from statelens.ast_ingest import AstTree
+from statelens.ast_ingest import AstTree, parse_ast_json, read_document
+from statelens.corpus import load_corpus, synth_generate
 from statelens.errors import EmptyGraphError
 from statelens.gcn_core import (
     ADAM_BETA1,
@@ -181,6 +184,18 @@ def normalized_contract(tree: AstTree, vocab: Vocabulary, label: str | None = No
     graph = optimize_graph(build_contract_graph(tree), label_set_from_rules())
     graph.label = label
     return normalize(embed_nodes(graph, vocab))
+
+
+def generated_contracts(n_pairs: int, seed: int) -> list[tuple[str, str, AstTree]]:
+    """`synth_generate`'s corpus read back through its manifest, as `train`
+    reads it: (path, label, tree) per record in manifest order. The files are
+    deleted before this returns."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        synth_generate(n_pairs, seed=seed, out_dir=out_dir)
+        return [
+            (path, label, parse_ast_json(read_document(path), source_unit=path))
+            for path, label in load_corpus(Path(out_dir) / "manifest.jsonl")
+        ]
 
 
 def one_shot_sparse_matmul(s: SparseOperator, h: np.ndarray) -> np.ndarray:

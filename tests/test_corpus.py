@@ -1,10 +1,14 @@
 import json
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import statelens.ast_ingest
+import statelens.corpus
 from statelens.ast_ingest import validate_tree
 from statelens.corpus import (
     kfold_indices,
@@ -14,7 +18,7 @@ from statelens.corpus import (
 )
 from statelens.errors import BadLabelError, SchemaViolationError
 
-from helpers import is_defective_shaped, json_shape
+from helpers import generated_contracts, is_defective_shaped, json_shape
 
 MINIMAL_AST = '{"id": 1, "nodeType": "SourceUnit", "nodes": [{"id": 2, "nodeType": "ContractDefinition", "name": "C"}]}'
 
@@ -148,29 +152,30 @@ def test_kfold_indices_cover_everything():
 
 
 def test_generate_one_pair():
-    contracts = synth_generate(1, seed=0)
-    assert [c.label for c in contracts] == ["defective", "clean"]
+    contracts = generated_contracts(1, seed=0)
+    assert [label for _, label, _ in contracts] == ["defective", "clean"]
 
 
 def test_generated_trees_are_valid():
-    for contract in synth_generate(5, seed=1):
-        assert validate_tree(contract.tree) == []
+    for _, _, tree in generated_contracts(5, seed=1):
+        assert validate_tree(tree) == []
 
 
 def test_generated_labels_match_structural_oracle(tmp_path):
     """An independent JSON walker agrees with every label the generator
     assigns: positives have a public unguarded state write, negatives do not."""
-    contracts = synth_generate(20, seed=9, out_dir=tmp_path)
-    for contract in contracts:
-        doc = json.loads((tmp_path / contract.path.split("/")[-1]).read_text())
-        assert is_defective_shaped(doc) == (contract.label == "defective")
+    synth_generate(20, seed=9, out_dir=tmp_path)
+    for path, label in load_corpus(tmp_path / "manifest.jsonl"):
+        doc = json.loads(Path(path).read_text())
+        assert is_defective_shaped(doc) == (label == "defective")
 
 
 def test_minimal_pair_differs_only_in_guard(tmp_path):
-    contracts = synth_generate(10, seed=4, out_dir=tmp_path)
-    for defective, clean in zip(contracts[::2], contracts[1::2]):
-        shape_def = json_shape(json.loads((tmp_path / defective.path.split("/")[-1]).read_text()))
-        shape_cln = json_shape(json.loads((tmp_path / clean.path.split("/")[-1]).read_text()))
+    synth_generate(10, seed=4, out_dir=tmp_path)
+    paths = [path for path, _ in load_corpus(tmp_path / "manifest.jsonl")]
+    for defective, clean in zip(paths[::2], paths[1::2]):
+        shape_def = json_shape(json.loads(Path(defective).read_text()))
+        shape_cln = json_shape(json.loads(Path(clean).read_text()))
 
         def strip_guard(shape):
             """Replace each IfStatement(cond, Block(body...)) with body."""
@@ -211,11 +216,40 @@ def test_generator_manifest_loads_back(tmp_path):
 
 
 def test_generated_names_are_randomized():
-    contracts = synth_generate(6, seed=8)
     target_names = set()
-    for contract in contracts:
-        for node in contract.tree.nodes.values():
+    for _, _, tree in generated_contracts(6, seed=8):
+        for node in tree.nodes.values():
             if node.node_type == "FunctionDefinition" and node.attributes.get("visibility") == "public":
                 if node.attributes.get("stateMutability") == "nonpayable":
                     target_names.add(node.name)
     assert len(target_names) > 1
+
+
+def test_generator_parses_nothing(tmp_path, monkeypatch):
+    synth_generate(3, seed=5, out_dir=tmp_path / "reference")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the generator parsed its own output")
+
+    monkeypatch.setattr(statelens.corpus, "parse_ast_json", refuse)
+    monkeypatch.setattr(statelens.ast_ingest, "parse_ast_json", refuse)
+    synth_generate(3, seed=5, out_dir=tmp_path / "patched")
+    names = sorted(p.name for p in (tmp_path / "reference").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "patched").iterdir())
+    for name in names:
+        assert (tmp_path / "patched" / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
+
+
+def test_generator_memory_does_not_grow_with_pairs(tmp_path):
+    """Only the manifest and README lines (a few hundred bytes a pair) may
+    accumulate; each contract is dropped once it is written."""
+
+    def traced_peak(n_pairs):
+        tracemalloc.start()
+        try:
+            synth_generate(n_pairs, seed=5, out_dir=tmp_path / str(n_pairs))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(200) - traced_peak(20) < 1_000_000

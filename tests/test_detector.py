@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statelens import detector as det
-from statelens.corpus import split_items, synth_generate
+from statelens.corpus import split_items
 from statelens.errors import DegenerateCorpusError
 from statelens.feature_extract import extract_node_tuples
 from statelens.gcn_core import GcnParams, TrainConfig, forward, params_to_bytes
@@ -12,6 +12,7 @@ from statelens.graph_pipeline import build_vocabulary
 
 from helpers import (
     brute_force_confusion,
+    generated_contracts,
     normalized_contract,
     random_normalized_graph,
     random_params,
@@ -178,9 +179,9 @@ def test_train_deterministic():
 
 
 def test_train_equals_allocating_reference_steps():
-    contracts = synth_generate(10, seed=5)
-    vocab = build_vocabulary([extract_node_tuples(c.tree) for c in contracts], dim=16, seed=5)
-    corpus = [normalized_contract(c.tree, vocab, label=c.label) for c in contracts]
+    contracts = generated_contracts(10, seed=5)
+    vocab = build_vocabulary([extract_node_tuples(tree) for _, _, tree in contracts], dim=16, seed=5)
+    corpus = [normalized_contract(tree, vocab, label=label) for _, label, tree in contracts]
     config = TrainConfig(epochs=5, seed=5, learning_rate=1e-2)
     train_side, test_side = _split(corpus, config.seed)
     model, history = det.train(train_side, test_side, config)

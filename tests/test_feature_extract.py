@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statelens.ast_ingest import parse_ast_json
-from statelens.corpus import synth_generate
 from statelens.errors import EmptyGraphError, SchemaViolationError
 from statelens.feature_extract import (
     DependencyCategory,
@@ -21,7 +20,7 @@ from statelens.feature_extract import (
 )
 from statelens.graph_pipeline import build_graph, build_vocabulary, embed_nodes, normalize
 
-from helpers import random_tree_docs, walk_json_nodes
+from helpers import generated_contracts, random_tree_docs, walk_json_nodes
 
 
 @pytest.mark.parametrize(
@@ -537,5 +536,5 @@ def test_edges_of_random_documents_keep_the_invariants(doc, every_kind_doc):
 
 
 def test_edges_of_generated_contracts_and_the_proxy_keep_the_invariants(proxy_tree):
-    trees = [proxy_tree, *(contract.tree for contract in synth_generate(20, seed=7))]
+    trees = [proxy_tree, *(tree for _, _, tree in generated_contracts(20, seed=7))]
     assert set().union(*map(_check_edge_invariants, trees)) == set(EdgeType)  # every kind checked

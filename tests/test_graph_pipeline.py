@@ -41,6 +41,7 @@ from helpers import (
     brute_force_component,
     brute_force_normalize,
     dense_adjacency,
+    generated_contracts,
     nested_ast_json,
     normalized_contract,
     one_shot_sparse_matmul,
@@ -351,8 +352,8 @@ def test_optimize_matches_the_reference_walk(seed, edge_p, tree, every_label):
 def test_optimize_matches_the_reference_walk_on_generated_contracts(seed, every_label):
     rng = np.random.default_rng(seed)
     label_set = label_set_from_rules() if every_label else random_label_subset(rng)
-    for contract in synth_generate(1, seed=seed):
-        _assert_prunes_like_the_reference(build_contract_graph(contract.tree), label_set)
+    for _, _, tree in generated_contracts(1, seed=seed):
+        _assert_prunes_like_the_reference(build_contract_graph(tree), label_set)
 
 
 def test_per_node_records_are_slotted():
