@@ -13,6 +13,7 @@ kept verbatim and simply ignored downstream.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
@@ -235,9 +236,7 @@ def validate_tree(tree: AstTree) -> list[Diagnostic]:
     """Check every tree invariant; returns one diagnostic per violation."""
     diags: list[Diagnostic] = []
 
-    id_counts: dict[int, int] = {}
-    for node in tree.nodes.values():
-        id_counts[node.id] = id_counts.get(node.id, 0) + 1
+    id_counts = Counter(node.id for node in tree.nodes.values())
     duplicated = {i for i, c in id_counts.items() if c > 1}
     for dup in sorted(duplicated):
         diags.append(Diagnostic("duplicate-id", dup, f"{id_counts[dup]} nodes share id {dup}"))
@@ -251,7 +250,7 @@ def validate_tree(tree: AstTree) -> list[Diagnostic]:
         diags.append(Diagnostic("missing-root", tree.root_id, "root id not present in nodes"))
         return diags
 
-    parent_count: dict[int, int] = {}
+    parent_count: Counter[int] = Counter()
     for node in tree.nodes.values():
         for child in node.children:
             if child not in tree.nodes:
@@ -259,7 +258,7 @@ def validate_tree(tree: AstTree) -> list[Diagnostic]:
                     Diagnostic("dangling-child", node.id, f"child id {child} has no node")
                 )
             else:
-                parent_count[child] = parent_count.get(child, 0) + 1
+                parent_count[child] += 1
 
     for node_id, count in sorted(parent_count.items()):
         if count > 1:

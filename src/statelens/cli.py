@@ -321,20 +321,14 @@ def cmd_inspect(args) -> int:
         tree = parse_ast_json(read_document(path), source_unit=str(path))
         raw = build_contract_graph(tree, rules)
         graph = optimize_graph(raw, label_set)
-        categories: dict[str, int] = {}
-        for t in graph.tuples:
-            categories[t.category.value] = categories.get(t.category.value, 0) + 1
-        edge_types: dict[str, int] = {}
-        for e in graph.edges:
-            edge_types[e.e_t.value] = edge_types.get(e.e_t.value, 0) + 1
         stats = {
             "path": str(path),
             "ast_nodes": len(tree),
             "graph_nodes": graph.n,
             "pruned_away": raw.n - graph.n,
             "edges": len(graph.edges),
-            "categories": categories,
-            "edge_types": edge_types,
+            "categories": Counter(t.category.value for t in graph.tuples),
+            "edge_types": Counter(e.e_t.value for e in graph.edges),
         }
         if vocab is not None:
             known = sum(1 for t in graph.tuples if token_for(t) in vocab.word2idx)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,8 +33,9 @@ def load_corpus(manifest_path: str | Path) -> list[tuple[str, str]]:
     (ast_path, label) pairs, ast_path resolved relative to the manifest.
 
     Raises OSError, SchemaViolationError for a line that is not a JSON record
-    with both fields, or BadLabelError; each names the line, with the manifest
-    as its `path`. The AST files are not opened here.
+    with both fields or whose ast_path no file can have (a NUL byte, a lone
+    surrogate), or BadLabelError; each names the line, with the manifest as
+    its `path`. The AST files are not opened here.
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
@@ -58,7 +60,14 @@ def load_corpus(manifest_path: str | Path) -> list[tuple[str, str]]:
                 raise BadLabelError(
                     f"{manifest_path}:{lineno}: label must be one of {LABELS}, got {label!r}"
                 )
-            records.append((str(base / record["ast_path"]), label))
+            ast_path = str(base / record["ast_path"])
+            try:  # `open` refuses a NUL byte, and a lone surrogate fails to encode
+                usable = b"\0" not in os.fsencode(ast_path)
+            except UnicodeEncodeError:
+                usable = False
+            if not usable:
+                raise SchemaViolationError(f"{manifest_path}:{lineno}: ast_path {record['ast_path']!r} is no file name")
+            records.append((ast_path, label))
     return records
 
 

@@ -244,17 +244,9 @@ def extract_node_tuples(tree: AstTree, rules: RuleTable | None = None) -> list[N
     return tuples
 
 
-def _first_categorized(nodes: dict[int, AstNode], root_id: int, categorized: set[int]) -> int | None:
+def _first_categorized(tree: AstTree, root_id: int, categorized: set[int]) -> int | None:
     """The first categorized node of the subtree at `root_id`, in preorder."""
-    stack = [root_id]
-    while stack:
-        node = nodes.get(stack.pop())
-        if node is None:
-            continue
-        if node.id in categorized:
-            return node.id
-        stack.extend(reversed(node.children))
-    return None
+    return next((node.id for node in subtree_preorder(tree, root_id) if node.id in categorized), None)
 
 
 def _resolve_callee(tree: AstTree, call: AstNode) -> int | None:
@@ -312,13 +304,13 @@ def extract_edges(tree: AstTree, tuples: list[NodeTuple]) -> list[EdgeTuple]:
 
         if t.category is DependencyCategory.CONTROL:
             for child_id in node.children:
-                first = _first_categorized(nodes, child_id, categorized)
+                first = _first_categorized(tree, child_id, categorized)
                 if first is not None and first != node_id:
                     edges.add((node_id, first, "ControlFlow"))
 
         if node.node_type == "Assignment" and node.children:
             lhs, rhs_roots = node.children[0], node.children[1:]
-            target = _first_categorized(nodes, lhs, categorized)
+            target = _first_categorized(tree, lhs, categorized)
             if target is not None:
                 for rhs_root in rhs_roots:
                     for descendant in subtree_preorder(tree, rhs_root):

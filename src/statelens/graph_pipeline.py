@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -35,7 +36,7 @@ DEFAULT_EMBED_DIM = 64
 
 
 def _name_bucket(name: str) -> int:
-    return zlib.crc32(name.encode("utf-8")) % NAME_BUCKETS
+    return zlib.crc32(name.encode("utf-8", "surrogatepass")) % NAME_BUCKETS
 
 
 def _literal_tag(value: str) -> str:
@@ -112,11 +113,7 @@ def build_vocabulary(
     uniformly from [-1/sqrt(dim), +1/sqrt(dim)], `dim` >= 1 (`--dim` is
     checked where it is parsed).
     """
-    counts: dict[str, int] = {}
-    for doc in corpus:
-        for node in doc:
-            token = token_for(node)
-            counts[token] = counts.get(token, 0) + 1
+    counts = Counter(token_for(node) for doc in corpus for node in doc)
     ordered = sorted(counts, key=lambda token: (-counts[token], token))
     word2idx = {token: i + 1 for i, token in enumerate(ordered)}
     rng = np.random.default_rng(seed)
@@ -332,21 +329,17 @@ def normalize(graph: ContractGraph) -> NormalizedGraph:
     embedded graph, never empty (`build_graph` and `optimize_graph` see to it)."""
     n = graph.n
     i, j = graph.pairs.T
-    degrees = 1.0 + np.bincount(graph.pairs.ravel(), minlength=n)
-    inv_sqrt = 1.0 / np.sqrt(degrees)  # self-loops keep every degree >= 1
+    diagonal = np.arange(n)
+    rows = np.concatenate([i, j, diagonal])  # the entries of A + I: each link
+    cols = np.concatenate([j, i, diagonal])  # both ways, then the self-loops
+    inv_sqrt = 1.0 / np.sqrt(np.bincount(rows, minlength=n))  # a row's entry count is its degree
+    values = inv_sqrt[rows] * inv_sqrt[cols]
     if n <= DENSE_MAX_NODES:
-        a_hat = np.eye(n)
-        a_hat[i, j] = 1.0
-        a_hat[j, i] = 1.0
-        s_hat = a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
+        s_hat = np.zeros((n, n))
+        s_hat[rows, cols] = values
     else:
-        diagonal = np.arange(n)
-        rows = np.concatenate([i, j, diagonal])
-        cols = np.concatenate([j, i, diagonal])
         order = np.argsort(rows * n + cols)
-        rows, cols = rows[order], cols[order]
-        # the same product as the dense (1.0 * inv_sqrt[r]) * inv_sqrt[c]
-        s_hat = SparseOperator(n, rows, cols, inv_sqrt[rows] * inv_sqrt[cols])
+        s_hat = SparseOperator(n, rows[order], cols[order], values[order])
     return NormalizedGraph(
         features=graph.features,  # shared with the graph, not copied: nothing mutates them
         s_hat=s_hat,

@@ -827,6 +827,56 @@ def test_eval_skips_a_truncated_ast(trained, ten_pairs, tmp_path, capsys):
     assert captured.out and capsys.readouterr().out == captured.out
 
 
+def _lone_surrogate_names(source: Path, tmp_path: Path) -> Path:
+    """`source` with every node name opened by a lone surrogate, a legal JSON escape."""
+    out = tmp_path / "surrogate.ast.json"
+    out.write_text(source.read_text().replace('"name": "', '"name": "\\ud800'))
+    return out
+
+
+def test_detect_and_inspect_read_a_lone_surrogate_name(trained, corpus_dir, tmp_path, capsys):
+    named = _lone_surrogate_names(corpus_dir / "pair0000_defective.ast.json", tmp_path)
+    valid = corpus_dir / "pair0000_clean.ast.json"
+    argv = ["detect", "--model", str(trained["model"]), "--vocab", str(trained["vocab"])]
+    assert main([*argv, str(named), str(valid)]) in (0, 1)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [json.loads(line)["contract"] for line in captured.out.splitlines()] == [str(named), str(valid)]
+    assert main(["inspect", "--vocab", str(trained["vocab"]), str(named), str(valid)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [json.loads(line)["path"] for line in captured.out.splitlines()] == [str(named), str(valid)]
+
+
+def test_train_reads_a_lone_surrogate_name(ten_pairs, tmp_path, capsys):
+    named = _lone_surrogate_names(ten_pairs / "pair0003_defective.ast.json", tmp_path)
+    code, model, vocab = _train_on(_manifest_with(ten_pairs, tmp_path, named), tmp_path)
+    assert code == 0 and model.exists() and vocab.exists()
+    captured = capsys.readouterr()
+    assert captured.err == "" and set(json.loads(captured.out)) == METRIC_FIELDS
+
+
+@pytest.mark.parametrize("ast_path", ["a\u0000b.ast.json", "\ud800.ast.json"], ids=["nul", "surrogate"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_manifest_ast_path_no_file_can_have_is_refused(trained, ten_pairs, tmp_path, capsys, command, ast_path):
+    manifest = tmp_path / "manifest.jsonl"
+    records = [{"ast_path": str(ten_pairs / "pair0000_clean.ast.json"), "label": "clean"},
+               {"ast_path": ast_path, "label": "clean"}]
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in records))
+    if command == "train":
+        code, model, vocab = _train_on(manifest, tmp_path)
+        assert not model.exists() and not vocab.exists()
+    else:
+        argv = ["eval", "--model", str(trained["model"]), "--vocab", str(trained["vocab"])]
+        code = main([*argv, "--manifest", str(manifest)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diagnostic = _single_error_line(captured.err)
+    assert diagnostic["path"] == str(manifest) and diagnostic["code"] == "SchemaViolationError"
+    assert f"{manifest}:2:" in diagnostic["message"]
+
+
 def test_manifest_naming_a_missing_ast_is_one_io_error(ten_pairs, tmp_path, capsys):
     ghost = tmp_path / "ghost.ast.json"
     code, model, _ = _train_on(_manifest_with(ten_pairs, tmp_path, ghost), tmp_path)

@@ -24,7 +24,7 @@ from statelens.cli import main
 FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 METRIC_FIELDS = {"acc", "recall", "precision", "f1", "fpr", "tp", "fp", "tn", "fn"}
 SWAPPED_KEYS = ("id", "src", "referencedDeclaration", "value", "name")
-WRONG_VALUES = [None, "x", "", "1:2:3", [], [1, 2], {}, {"id": 1}, -1, -(2**40), 0.5, 1e300, 10**40]
+WRONG_VALUES = [None, "x", "", "\ud800", "1:2:3", [], [1, 2], {}, {"id": 1}, -1, -(2**40), 0.5, 1e300, 10**40]
 FRAGMENTS = [b"{", b"}", b"[", b"]", b",", b":", b'"', b"null", b"-1", b"1e999", b'"x": 1,',
              b'{"nodeType": "Block"}', b'{"id": 1, "nodeType": "SourceUnit"}', b'"nodes": [']
 

@@ -493,6 +493,19 @@ def test_normalize_large_graph_returns_small_operator():
     assert out.a_hat.nbytes < n * n * 8 / 10
 
 
+@pytest.mark.parametrize("n", [1, 2, 47, DENSE_MAX_NODES, DENSE_MAX_NODES + 1, 700])
+def test_dense_and_sparse_operators_carry_the_same_bits(monkeypatch, n):
+    graph = _with_features(random_tree_graph(np.random.default_rng(n), n))
+    monkeypatch.setattr(graph_pipeline, "DENSE_MAX_NODES", n)
+    dense = normalize(graph)
+    monkeypatch.setattr(graph_pipeline, "DENSE_MAX_NODES", 0)
+    sparse = normalize(graph)
+    assert isinstance(dense.s_hat, np.ndarray) and isinstance(sparse.s_hat, SparseOperator)
+    eye = np.eye(n)
+    assert (sparse.s_hat @ eye).tobytes() == dense.s_hat.tobytes()
+    assert (sparse.a_hat @ eye).tobytes() == dense.a_hat.tobytes()
+
+
 def test_sparse_operator_matches_brute_force():
     graph = _large_tree()
     out = normalize(graph)
