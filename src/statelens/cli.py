@@ -252,8 +252,8 @@ def _load_model_and_vocab(args) -> tuple[det.GcnModel, Vocabulary]:
     vocab = load_vocabulary(args.vocab)
     if model.vocab_fingerprint and model.vocab_fingerprint != vocab.fingerprint():
         raise StateLensError("model was trained against a different vocabulary file", code="vocab-mismatch")
-    if model.dim != vocab.dim:
-        message = f"model expects {model.dim}-wide embeddings, vocabulary has {vocab.dim}"
+    if model.params.dim != vocab.dim:
+        message = f"model expects {model.params.dim}-wide embeddings, vocabulary has {vocab.dim}"
         raise StateLensError(message, code="shape-mismatch")
     return model, vocab
 

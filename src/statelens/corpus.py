@@ -143,11 +143,10 @@ class _Names:
         self.rng = rng
         self.used: set[str] = set()
 
-    def fresh(self, lower: bool = True) -> str:
+    def fresh(self) -> str:
         while True:
             name = self.rng.choice(_VERBS) + self.rng.choice(_NOUNS)
-            if lower:
-                name = name[0].lower() + name[1:]
+            name = name[0].lower() + name[1:]
             if name not in self.used:
                 self.used.add(name)
                 return name

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -11,7 +12,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import DegenerateCorpusError, TrainingDivergedError, in_file
+from .errors import DegenerateCorpusError, StateLensError, TrainingDivergedError, in_file
 from .gcn_core import (
     DEFECTIVE,
     ForwardTrace,
@@ -25,7 +26,7 @@ from .gcn_core import (
     params_from_bytes,
     params_to_bytes,
 )
-from .graph_pipeline import NormalizedGraph
+from .graph_pipeline import ContractGraph
 
 MAX_REPORT_NODES = 10
 
@@ -87,10 +88,6 @@ class GcnModel:
     params: GcnParams
     vocab_fingerprint: str = ""
 
-    @property
-    def dim(self) -> int:
-        return self.params.dim
-
     def fingerprint(self) -> str:
         return hashlib.sha256(params_to_bytes(self.params)).hexdigest()
 
@@ -119,12 +116,17 @@ class EpochStats:
 
 
 def _verdict(probability: float, threshold: float) -> str:
-    """Exactly at the threshold counts as defective: the conservative call for an auditor."""
+    """Exactly at the threshold counts as defective: the conservative call for
+    an auditor. A probability that is not finite, from finite weights large
+    enough to overflow the forward pass, is no call at all and is refused."""
+    if not math.isfinite(probability):
+        raise StateLensError(f"P(defective) is {probability}, not finite", code="non-finite-output")
     return "defective" if probability >= threshold else "clean"
 
 
+@np.errstate(all="ignore")  # an overflowing forward pass is refused by `_verdict`, not warned about
 def evaluate(
-    model: GcnModel, testset: Sequence[NormalizedGraph], threshold: float = 0.5
+    model: GcnModel, testset: Sequence[ContractGraph], threshold: float = 0.5
 ) -> Metrics:
     """Confusion counts and metrics over labeled graphs."""
     tp = fp = tn = fn = 0
@@ -145,8 +147,8 @@ def evaluate(
 
 @np.errstate(all="ignore")  # a run that diverges is stopped below, not warned about
 def train(
-    train_graphs: Sequence[NormalizedGraph],
-    test_graphs: Sequence[NormalizedGraph],
+    train_graphs: Sequence[ContractGraph],
+    test_graphs: Sequence[ContractGraph],
     config: TrainConfig,
     vocab_fingerprint: str = "",
 ) -> tuple[GcnModel, list[EpochStats]]:
@@ -204,7 +206,7 @@ class ReportNode:
 
 
 def _top_nodes(
-    model: GcnModel, graph: NormalizedGraph, trace: ForwardTrace, k: int
+    model: GcnModel, graph: ContractGraph, trace: ForwardTrace, k: int
 ) -> list[ReportNode]:
     """Top-k nodes by salience: the defective-class logit each node would
     produce if it were the whole pooled representation."""
@@ -254,9 +256,10 @@ class DetectionReport:
         return "\n".join(lines)
 
 
+@np.errstate(all="ignore")  # as in `evaluate`
 def build_report(
     model: GcnModel,
-    graph: NormalizedGraph,
+    graph: ContractGraph,
     contract: str,
     threshold: float = 0.5,
     k: int = 5,

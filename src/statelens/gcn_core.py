@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SchemaViolationError
-from .graph_pipeline import NormalizedGraph
+from .graph_pipeline import ContractGraph
 
 CLASSES = ("clean", "defective")
 DEFECTIVE = 1  # logit/probability index of the defective class
@@ -120,7 +120,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum()
 
 
-def forward(params: GcnParams, graph: NormalizedGraph, sx: np.ndarray | None = None) -> ForwardTrace:
+def forward(params: GcnParams, graph: ContractGraph, sx: np.ndarray | None = None) -> ForwardTrace:
     """Two propagation layers relu((S @ H) @ W), then the readout. `sx` is
     S @ X for this graph when the caller has it; passing it changes no bit."""
     s_hat = graph.s_hat
@@ -136,7 +136,7 @@ def forward(params: GcnParams, graph: NormalizedGraph, sx: np.ndarray | None = N
 
 def loss_and_grads(
     params: GcnParams,
-    graph: NormalizedGraph,
+    graph: ContractGraph,
     label: str,
     l2_penalty: float = 0.0,
     sx: np.ndarray | None = None,

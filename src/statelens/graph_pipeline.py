@@ -142,7 +142,11 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
 
 @dataclass
 class ContractGraph:
-    """Pruned dependency graph of one contract, pre- or post-embedding."""
+    """Dependency graph of one contract from build to report. Each stage
+    returns a copy with only its own fields changed: pruning the nodes,
+    `embed_nodes` the features X, `normalize` the operator
+    S = D^{-1/2} (A+I) D^{-1/2}, a dense array or, above DENSE_MAX_NODES,
+    a SparseOperator."""
 
     node_ids: list[int]  # graph index -> AST node id
     tuples: list[NodeTuple]
@@ -151,10 +155,19 @@ class ContractGraph:
     edges: list[EdgeTuple]  # original directed edges, AST ids
     features: np.ndarray | None = None
     label: str | None = None
+    s_hat: np.ndarray | SparseOperator | None = None
 
     @property
     def n(self) -> int:
         return len(self.node_ids)
+
+    @property
+    def a_hat(self) -> np.ndarray | SparseOperator:
+        """A + I, read off S: exactly 1.0 wherever S is nonzero."""
+        s = self.s_hat
+        if isinstance(s, SparseOperator):
+            return SparseOperator(s.shape[0], s.rows, s.indices, np.ones_like(s.data))
+        return (s > 0).astype(np.float64)
 
 
 def link_pairs(n: int, links: Iterable[tuple[int, int]]) -> np.ndarray:
@@ -224,30 +237,6 @@ class SparseOperator:
 DENSE_MAX_NODES = 320
 
 
-@dataclass
-class NormalizedGraph:
-    """GCN-ready view: features X and S = D^{-1/2} (A+I) D^{-1/2}, either a
-    dense array or, above DENSE_MAX_NODES, a SparseOperator."""
-
-    features: np.ndarray
-    s_hat: np.ndarray | SparseOperator
-    node_ids: list[int]
-    spans: list[tuple[int, int, int]]
-    label: str | None = None
-
-    @property
-    def n(self) -> int:
-        return int(self.s_hat.shape[0])
-
-    @property
-    def a_hat(self) -> np.ndarray | SparseOperator:
-        """A + I, read off S: exactly 1.0 wherever S is nonzero."""
-        s = self.s_hat
-        if isinstance(s, SparseOperator):
-            return SparseOperator(s.shape[0], s.rows, s.indices, np.ones_like(s.data))
-        return (s > 0).astype(np.float64)
-
-
 def build_graph(
     tree: AstTree, tuples: Sequence[NodeTuple], edges: Sequence[EdgeTuple]
 ) -> ContractGraph:
@@ -277,7 +266,7 @@ def optimize_graph(graph: ContractGraph, label_set: LabelSet) -> ContractGraph:
     """Prune nodes outside the label set, then drop components disconnected
     from the first surviving node. Idempotent; never adds nodes or edges.
     A graph that loses no node is returned as it is, not copied; callers
-    prune before `embed_nodes`, so a pruned graph carries no features."""
+    prune before `embed_nodes`, so the copy has no features or S to prune."""
     surviving = [(t.n_type, t.category) in label_set for t in graph.tuples]
     if not any(surviving):
         raise EmptyGraphError("label set pruned every node")
@@ -309,13 +298,13 @@ def optimize_graph(graph: ContractGraph, label_set: LabelSet) -> ContractGraph:
     remap = np.full(graph.n, -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep))
     pairs = remap[graph.pairs]
-    return ContractGraph(
+    return replace(
+        graph,
         node_ids=[graph.node_ids[i] for i in keep],
         tuples=[graph.tuples[i] for i in keep],
         spans=[graph.spans[i] for i in keep],
         pairs=pairs[(pairs >= 0).all(axis=1)],
         edges=[e for e in graph.edges if e.e_s in keep_ids and e.e_e in keep_ids],
-        label=graph.label,
     )
 
 
@@ -324,9 +313,10 @@ def embed_nodes(graph: ContractGraph, vocab: Vocabulary) -> ContractGraph:
     return replace(graph, features=vocab.embedding[rows])
 
 
-def normalize(graph: ContractGraph) -> NormalizedGraph:
+def normalize(graph: ContractGraph) -> ContractGraph:
     """Add self-loops and apply the symmetric degree normalization to an
-    embedded graph, never empty (`build_graph` and `optimize_graph` see to it)."""
+    embedded graph, never empty (`build_graph` and `optimize_graph` see to it),
+    and return it with S attached as `s_hat`."""
     n = graph.n
     i, j = graph.pairs.T
     diagonal = np.arange(n)
@@ -340,13 +330,7 @@ def normalize(graph: ContractGraph) -> NormalizedGraph:
     else:
         order = np.argsort(rows * n + cols)
         s_hat = SparseOperator(n, rows[order], cols[order], values[order])
-    return NormalizedGraph(
-        features=graph.features,  # shared with the graph, not copied: nothing mutates them
-        s_hat=s_hat,
-        node_ids=graph.node_ids,
-        spans=graph.spans,
-        label=graph.label,
-    )
+    return replace(graph, s_hat=s_hat)
 
 
 def build_contract_graph(tree: AstTree, rules: RuleTable | None = None) -> ContractGraph:

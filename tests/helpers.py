@@ -39,7 +39,6 @@ from statelens.gcn_core import (
 )
 from statelens.graph_pipeline import (
     ContractGraph,
-    NormalizedGraph,
     SparseOperator,
     Vocabulary,
     build_contract_graph,
@@ -164,21 +163,24 @@ def brute_force_component(n: int, undirected_pairs: set[tuple[int, int]], start:
 
 def random_normalized_graph(
     rng: np.random.Generator, n: int, dim: int, label: str | None = None
-) -> NormalizedGraph:
+) -> ContractGraph:
     adjacency = (rng.random((n, n)) < 0.4).astype(float)
     adjacency = np.triu(adjacency, 1)
     adjacency = adjacency + adjacency.T
     _, s_hat = brute_force_normalize(adjacency)
-    return NormalizedGraph(
-        features=rng.normal(size=(n, dim)),
-        s_hat=s_hat,
+    return ContractGraph(
         node_ids=list(range(n)),
+        tuples=[],
         spans=[(0, 0, 0)] * n,
+        pairs=np.empty((0, 2), np.int64),
+        edges=[],
+        features=rng.normal(size=(n, dim)),
         label=label,
+        s_hat=s_hat,
     )
 
 
-def normalized_contract(tree: AstTree, vocab: Vocabulary, label: str | None = None) -> NormalizedGraph:
+def normalized_contract(tree: AstTree, vocab: Vocabulary, label: str | None = None) -> ContractGraph:
     """One tree through the default rules to GCN-ready matrices: the chain
     `statelens detect` runs per file."""
     graph = optimize_graph(build_contract_graph(tree), label_set_from_rules())
@@ -210,7 +212,7 @@ def one_shot_sparse_matmul(s: SparseOperator, h: np.ndarray) -> np.ndarray:
 
 
 def reference_top_nodes(
-    model: GcnModel, graph: NormalizedGraph, trace: ForwardTrace, k: int
+    model: GcnModel, graph: ContractGraph, trace: ForwardTrace, k: int
 ) -> list[tuple[int, tuple[int, int, int], float]]:
     """(node id, span, salience) of the top-k nodes by a Python sort on the
     key (-salience, index): ties go to the earlier node."""
@@ -229,7 +231,7 @@ def random_params(rng: np.random.Generator, dim: int, hidden: int, scale=1.0) ->
 
 
 def finite_difference_grads(
-    params: GcnParams, graph: NormalizedGraph, label: str, l2: float, step: float = 1e-5
+    params: GcnParams, graph: ContractGraph, label: str, l2: float, step: float = 1e-5
 ) -> GcnParams:
     """Central differences through the full loss, one parameter at a time."""
 
@@ -263,7 +265,7 @@ def max_relative_grad_error(analytic: GcnParams, numeric: GcnParams) -> float:
 
 
 def reference_forward(
-    params: GcnParams, graph: NormalizedGraph, sx: np.ndarray | None = None
+    params: GcnParams, graph: ContractGraph, sx: np.ndarray | None = None
 ) -> dict[str, np.ndarray]:
     """The forward pass through numpy's `mean` and `np.max`."""
     s_hat = graph.s_hat
@@ -282,7 +284,7 @@ def reference_forward(
 
 def reference_loss_and_grads(
     params: GcnParams,
-    graph: NormalizedGraph,
+    graph: ContractGraph,
     label: str,
     l2_penalty: float = 0.0,
     sx: np.ndarray | None = None,
@@ -328,7 +330,7 @@ def reference_optimizer_step(
 
 
 def reference_train(
-    train_graphs: list[NormalizedGraph], test_graphs: list[NormalizedGraph], config: TrainConfig
+    train_graphs: list[ContractGraph], test_graphs: list[ContractGraph], config: TrainConfig
 ) -> tuple[GcnParams, list[EpochStats]]:
     """`detector.train` on a given split, one fresh params/state per step."""
     params = init_params(int(train_graphs[0].features.shape[1]), config.hidden_width, config.seed)

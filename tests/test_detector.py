@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from statelens import detector as det
 from statelens.corpus import split_items
-from statelens.errors import DegenerateCorpusError
+from statelens.errors import DegenerateCorpusError, StateLensError
 from statelens.feature_extract import extract_node_tuples
 from statelens.gcn_core import GcnParams, TrainConfig, forward, params_to_bytes
 from statelens.graph_pipeline import build_vocabulary
@@ -119,6 +119,21 @@ def test_predict_impossible_threshold_always_clean():
     model = det.GcnModel(params=random_params(rng, dim=4, hidden=3))
     for _ in range(10):
         assert _verdict(model, random_normalized_graph(rng, n=4, dim=4), threshold=1.01) == "clean"
+
+
+def test_output_that_is_not_finite_gets_no_verdict():
+    """Finite weights scaled until the forward pass overflows: the NaN
+    P(defective) is refused, not called clean, and numpy does not warn."""
+    rng = np.random.default_rng(3)
+    params = random_params(rng, dim=4, hidden=3)
+    params.w1[:] *= 1e200
+    params.w2[:] *= 1e200
+    model = det.GcnModel(params=params)
+    g = random_normalized_graph(rng, n=4, dim=4, label="clean")
+    for call in (lambda: det.build_report(model, g, "c"), lambda: det.evaluate(model, [g])):
+        with pytest.raises(StateLensError) as caught:
+            call()
+        assert caught.value.code == "non-finite-output"
 
 
 def test_threshold_monotonicity():

@@ -19,7 +19,7 @@ from statelens.gcn_core import (
     optimizer_step,
     params_to_bytes,
 )
-from statelens.graph_pipeline import NormalizedGraph
+from statelens.graph_pipeline import ContractGraph
 
 from helpers import (
     finite_difference_grads,
@@ -44,13 +44,16 @@ def _zero_params(dim: int, hidden: int) -> GcnParams:
 NAMES = ("w1", "w2", "w_out", "b_out")
 
 
-def _graph(s_hat, features) -> NormalizedGraph:
+def _graph(s_hat, features) -> ContractGraph:
     n = np.shape(features)[0]
-    return NormalizedGraph(
+    return ContractGraph(
+        node_ids=list(range(n)),
+        tuples=[],
+        spans=[(0, 0, 0)] * n,
+        pairs=np.empty((0, 2), np.int64),
+        edges=[],
         features=np.asarray(features, dtype=float),
         s_hat=np.asarray(s_hat, dtype=float),
-        node_ids=list(range(n)),
-        spans=[(0, 0, 0)] * n,
     )
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from statelens.gcn_core import forward, loss_and_grads
 from statelens.graph_pipeline import (
     DENSE_MAX_NODES,
     ContractGraph,
-    NormalizedGraph,
     SparseOperator,
     build_contract_graph,
     build_graph,
@@ -448,15 +448,9 @@ def _large_tree(seed: int = 31, n: int = 600) -> ContractGraph:
     return _with_features(random_tree_graph(np.random.default_rng(seed), n))
 
 
-def _densified(graph: NormalizedGraph) -> NormalizedGraph:
+def _densified(graph: ContractGraph) -> ContractGraph:
     """The same graph with S multiplied out into a dense array."""
-    return NormalizedGraph(
-        features=graph.features,
-        s_hat=graph.s_hat @ np.eye(graph.n),
-        node_ids=graph.node_ids,
-        spans=graph.spans,
-        label=graph.label,
-    )
+    return replace(graph, s_hat=graph.s_hat @ np.eye(graph.n))
 
 
 def _permuted(graph: ContractGraph, perm: np.ndarray) -> ContractGraph:
