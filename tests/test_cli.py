@@ -389,6 +389,22 @@ def test_out_of_range_numeric_option_is_a_usage_error(
     assert not model.exists() and not vocab.exists() and not out.exists()
 
 
+def test_detect_missing_model_exit_two(trained, corpus_dir, capsys):
+    code = main(
+        [
+            "detect",
+            "--model",
+            "/nonexistent/model.sgm",
+            "--vocab",
+            str(trained["vocab"]),
+            str(corpus_dir / "pair0000_clean.ast.json"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "/nonexistent/model.sgm" in err
+
+
 def test_detect_vocab_mismatch_exit_two(trained, corpus_dir, tmp_path, capsys):
     other_vocab = tmp_path / "other_vocab.json"
     records = load_corpus(trained["corpus"] / "manifest.jsonl")
@@ -538,6 +554,22 @@ def test_inspect_with_custom_rules(corpus_dir, tmp_path, capsys):
     full = json.loads(capsys.readouterr().out.strip())
     assert set(narrowed["categories"]) == {"Function"}
     assert narrowed["graph_nodes"] < full["graph_nodes"]
+
+
+def test_exit_code_two_on_library_errors(tmp_path, capsys):
+    code = main(
+        [
+            "train",
+            "--manifest",
+            str(tmp_path / "missing.jsonl"),
+            "--model",
+            str(tmp_path / "m"),
+            "--vocab",
+            str(tmp_path / "v"),
+        ]
+    )
+    assert code == 2
+    assert "missing.jsonl" in capsys.readouterr().err
 
 
 def _single_error_line(err: str) -> dict:
