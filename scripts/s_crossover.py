@@ -2,8 +2,10 @@
 """Where a sparse S starts to pay: dense vs SparseOperator timings by graph size.
 
 For each size n it builds a random tree plus 0.3·n random extra links (the
-merged benchmark units have about 1.3 links per node), embeds it with
-d = 64, and times two things with S forced dense and forced sparse:
+merged benchmark units have about 1.3 links per node), gives its nodes
+random one-hot features d = 11 wide (the vocabulary width of
+`statelens gen --pairs 100 --seed 42`), and times two things with S forced
+dense and forced sparse:
 
 - one S @ X product;
 - `normalize` followed by one `forward` (hidden 32), the work `detect`
@@ -41,7 +43,7 @@ from statelens.gcn_core import forward, init_params
 
 DEFAULT_SIZES = (1024, 512, 384, 320, 256, 224, 192, 160, 128, 64)
 BLOCK_BUDGETS = (1 << 12, 1 << 13, 1 << 14, 1 << 15, 1 << 16, 1 << 17, 1 << 18, 1 << 20)
-DIM, HIDDEN = 64, 32
+DIM, HIDDEN = 11, 32
 
 
 def random_graph(rng: np.random.Generator, n: int) -> gp.ContractGraph:
@@ -54,7 +56,7 @@ def random_graph(rng: np.random.Generator, n: int) -> gp.ContractGraph:
         spans=[],
         pairs=gp.link_pairs(n, links),
         edges=[],
-        features=rng.uniform(-0.125, 0.125, size=(n, DIM)),
+        features=np.eye(DIM)[rng.integers(0, DIM, size=n)],
     )
 
 

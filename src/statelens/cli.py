@@ -39,7 +39,6 @@ from .errors import StateLensError
 from .feature_extract import RuleTable, default_rules, label_set_from_rules, load_rules
 from .gcn_core import TrainConfig
 from .graph_pipeline import (
-    DEFAULT_EMBED_DIM,
     ContractGraph,
     Vocabulary,
     build_contract_graph,
@@ -188,11 +187,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _train_once(
-    train: Sequence[ContractGraph], test: Sequence[ContractGraph], config: TrainConfig, dim: int
-):
+def _train_once(train: Sequence[ContractGraph], test: Sequence[ContractGraph], config: TrainConfig):
     """Vocabulary from the training side only, then embed, normalize, train."""
-    vocab = build_vocabulary([g.tuples for g in train], dim=dim, seed=config.seed)
+    vocab = build_vocabulary([g.tuples for g in train])
 
     def finish(graphs):
         return [normalize(embed_nodes(graph, vocab)) for graph in graphs]
@@ -228,7 +225,7 @@ def cmd_train(args) -> int:
         for fold, (train_idx, test_idx) in enumerate(folds, 1):
             train = [pruned[i] for i in train_idx]
             test = [pruned[i] for i in test_idx]
-            _, history, _ = _train_once(train, test, config, args.dim)
+            _, history, _ = _train_once(train, test, config)
             _log_epochs(history, fold=fold)
             fold_metrics.append(history[-1].held_out)
         out = {
@@ -238,7 +235,7 @@ def cmd_train(args) -> int:
         print(json.dumps(out, sort_keys=True))
         return 2 if failed else 0
     train, test = split_items(pruned, [g.label for g in pruned], config.seed)
-    model, history, vocab = _train_once(train, test, config, args.dim)
+    model, history, vocab = _train_once(train, test, config)
     _log_epochs(history)
     model.save(args.model)
     save_vocabulary(args.vocab, vocab)
@@ -253,7 +250,7 @@ def _load_model_and_vocab(args) -> tuple[det.GcnModel, Vocabulary]:
     if model.vocab_fingerprint and model.vocab_fingerprint != vocab.fingerprint():
         raise StateLensError("model was trained against a different vocabulary file", code="vocab-mismatch")
     if model.params.dim != vocab.dim:
-        message = f"model expects {model.params.dim}-wide embeddings, vocabulary has {vocab.dim}"
+        message = f"model expects {model.params.dim}-wide features, vocabulary gives {vocab.dim}"
         raise StateLensError(message, code="shape-mismatch")
     return model, vocab
 
@@ -366,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--epochs", type=_positive_int, default=defaults.epochs)
     p_train.add_argument("--lr", type=_positive_float, default=defaults.learning_rate)
     p_train.add_argument("--hidden", type=_positive_int, default=defaults.hidden_width)
-    p_train.add_argument("--dim", type=_positive_int, default=DEFAULT_EMBED_DIM)
     p_train.add_argument("--l2", type=_nonnegative_float, default=defaults.l2_penalty)
     p_train.add_argument("--rules", default=None, help="custom classification rules file")
     p_train.add_argument("--folds", type=_fold_count, default=0, help="k-fold cross-validation instead of a single split")

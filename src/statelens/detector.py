@@ -171,7 +171,7 @@ def train(
     state = OptimizerState()
     rng = random.Random(config.seed)
     history: list[EpochStats] = []
-    # S @ X is constant (the embedding table is never trained), so compute
+    # S @ X is constant (X is fixed one-hot features), so compute
     # it once per graph here rather than on every step of every epoch.
     sx = [graph.s_hat @ graph.features for graph in train_graphs]
 

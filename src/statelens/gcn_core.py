@@ -146,8 +146,8 @@ def loss_and_grads(
     `label` is one of CLASSES (the manifest reader refuses any other) and the
     graph's features are `params.dim` wide; neither is checked again here.
 
-    `sx` is S @ X for this graph, computed by the caller. The embedding
-    table is never trained, so a training loop can compute it once per graph
+    `sx` is S @ X for this graph, computed by the caller. The one-hot
+    features X are fixed, so a training loop can compute it once per graph
     rather than once per step; passing it changes no output bit. The
     gradients are written into `out` (every element, so a buffer reused
     across graphs carries nothing over) and `out` is returned; without it a

@@ -1,18 +1,17 @@
 """End-to-end graph construction: tokens, vocabulary, pruning, normalization.
 
 The chain is: extract node tuples and edges, link the categorized nodes in
-DFS preorder as an undirected edge list, prune against the label set, look
-up fixed random embeddings through the word2idx vocabulary, then produce
-the symmetrically normalized operator S = D^{-1/2} (A + I) D^{-1/2} the GCN
-consumes, dense on small graphs and sparse on large ones. Everything here
-is deterministic given (tree, rules, seed).
+DFS preorder as an undirected edge list, prune against the label set, give
+each node the one-hot feature of its token through the word2idx vocabulary,
+then produce the symmetrically normalized operator
+S = D^{-1/2} (A + I) D^{-1/2} the GCN consumes, dense on small graphs and
+sparse on large ones. Everything here is deterministic given (tree, rules).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import zlib
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -31,14 +30,6 @@ from .feature_extract import (
     extract_node_tuples,
 )
 
-NAME_BUCKETS = 256
-DEFAULT_EMBED_DIM = 64
-
-
-def _name_bucket(name: str) -> int:
-    return zlib.crc32(name.encode("utf-8", "surrogatepass")) % NAME_BUCKETS
-
-
 def _literal_tag(value: str) -> str:
     text = value.strip().lower()
     if text in ("true", "false"):
@@ -53,50 +44,31 @@ def _literal_tag(value: str) -> str:
 
 
 def token_for(node: NodeTuple) -> str:
-    """Stable vocabulary token: type plus hashed name, literals by type tag."""
+    """Vocabulary token: the node type, literals keyed by their type tag.
+    Names never enter it, so renaming an identifier changes no feature."""
     if node.n_type == "Literal":
         return f"Literal:{_literal_tag(node.n_value)}"
-    return f"{node.n_type}:{_name_bucket(node.n_name)}"
+    return node.n_type
 
 
 @dataclass
 class Vocabulary:
+    """Token -> feature column; column 0 is every out-of-vocabulary token."""
+
     word2idx: dict[str, int]
-    embedding: np.ndarray  # (1 + len(word2idx)) x dim, row 0 = UNK
-    unk_index: int = 0
 
     @property
     def dim(self) -> int:
-        return int(self.embedding.shape[1])
-
-    def index(self, token: str) -> int:
-        return self.word2idx.get(token, self.unk_index)
+        return 1 + len(self.word2idx)
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "unk_index": self.unk_index,
-            "word2idx": self.word2idx,
-            "embedding": self.embedding.tolist(),
-        }
+        return {"word2idx": self.word2idx}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Vocabulary":
-        embedding = np.asarray(data["embedding"], dtype=np.float64)
-        vocab = cls(
-            word2idx={str(k): int(v) for k, v in data["word2idx"].items()},
-            embedding=embedding,
-            unk_index=int(data.get("unk_index", 0)),
-        )
-        if embedding.ndim != 2 or embedding.shape[1] < 1:
-            raise SchemaViolationError(
-                f"embedding must be a non-empty matrix, got shape {embedding.shape}"
-            )
-        if not np.isfinite(embedding).all():
-            raise SchemaViolationError("vocabulary embedding holds a value that is not finite")
-        rows = embedding.shape[0]
-        if not all(0 <= i < rows for i in (vocab.unk_index, *vocab.word2idx.values())):
-            raise SchemaViolationError(f"vocabulary indices must lie in [0, {rows})")
+        vocab = cls(word2idx={str(k): int(v) for k, v in data["word2idx"].items()})
+        if not all(0 <= i < vocab.dim for i in vocab.word2idx.values()):
+            raise SchemaViolationError(f"vocabulary indices must lie in [0, {vocab.dim})")
         return vocab
 
     def fingerprint(self) -> str:
@@ -104,22 +76,12 @@ class Vocabulary:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def build_vocabulary(
-    corpus: Sequence[Sequence[NodeTuple]], dim: int = DEFAULT_EMBED_DIM, seed: int = 0
-) -> Vocabulary:
-    """Frequency-then-lexicographic token indexing plus a seeded embedding table.
-
-    Index 0 is reserved for out-of-vocabulary tokens; rows are drawn
-    uniformly from [-1/sqrt(dim), +1/sqrt(dim)], `dim` >= 1 (`--dim` is
-    checked where it is parsed).
-    """
+def build_vocabulary(corpus: Sequence[Sequence[NodeTuple]]) -> Vocabulary:
+    """Frequency-then-lexicographic token indexing from 1; index 0 is
+    reserved for out-of-vocabulary tokens."""
     counts = Counter(token_for(node) for doc in corpus for node in doc)
     ordered = sorted(counts, key=lambda token: (-counts[token], token))
-    word2idx = {token: i + 1 for i, token in enumerate(ordered)}
-    rng = np.random.default_rng(seed)
-    bound = 1.0 / np.sqrt(dim)
-    embedding = rng.uniform(-bound, bound, size=(1 + len(ordered), dim))
-    return Vocabulary(word2idx=word2idx, embedding=embedding)
+    return Vocabulary(word2idx={token: i + 1 for i, token in enumerate(ordered)})
 
 
 def save_vocabulary(path: str | Path, vocab: Vocabulary) -> None:
@@ -134,7 +96,7 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
             return Vocabulary.from_json_dict(json.loads(read_document(path)))
         except MalformedJsonError as exc:
             raise SchemaViolationError(str(exc)) from None
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, OverflowError, KeyError, TypeError, AttributeError) as exc:
             raise SchemaViolationError(
                 f"{path}: not a vocabulary file: {type(exc).__name__}: {exc}"
             ) from None
@@ -230,10 +192,11 @@ class SparseOperator:
 
 # Graphs with more nodes than this get S as a SparseOperator, smaller ones as
 # a dense array. Measured with scripts/s_crossover.py (one BLAS thread,
-# d = 64): at n = 320 one S @ X costs the same both ways and normalize plus
-# forward is 1.5x faster sparse; at n = 192 dense wins both, by 1.7x and
-# 1.1x. Training and audit contracts have 11-47 nodes, merged source units
-# thousands.
+# one-hot d = 11, the default corpus's width, 2-core Xeon VM): at n = 320
+# sparse is faster, by 1.10-1.48x for one S @ X and 1.04-1.21x for normalize
+# plus forward (4 runs); at n = 288 dense wins both, by 1.32-2.08x and
+# 1.23-1.62x (3 runs). Training and audit contracts have 11-47 nodes, merged
+# source units thousands.
 DENSE_MAX_NODES = 320
 
 
@@ -309,8 +272,9 @@ def optimize_graph(graph: ContractGraph, label_set: LabelSet) -> ContractGraph:
 
 
 def embed_nodes(graph: ContractGraph, vocab: Vocabulary) -> ContractGraph:
-    rows = [vocab.index(token_for(t)) for t in graph.tuples]
-    return replace(graph, features=vocab.embedding[rows])
+    """Features X, n x `vocab.dim`: row i is one-hot in node i's token column."""
+    columns = [vocab.word2idx.get(token_for(t), 0) for t in graph.tuples]
+    return replace(graph, features=np.eye(vocab.dim)[columns])
 
 
 def normalize(graph: ContractGraph) -> ContractGraph:

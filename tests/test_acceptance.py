@@ -55,7 +55,7 @@ def test_criterion_1_normalization_oracle():
     worst = 0.0
     for _ in range(1000):
         graph = random_contract_graph(rng, n_min=1, n_max=8)
-        vocab = build_vocabulary([graph.tuples], dim=3, seed=0)
+        vocab = build_vocabulary([graph.tuples])
         out = normalize(embed_nodes(graph, vocab))
         a_hat, expected = brute_force_normalize(dense_adjacency(graph))
         worst = max(worst, float(np.max(np.abs(out.s_hat - expected))))
@@ -240,7 +240,7 @@ def test_criterion_8_regression_fixture(fixture_dir):
     tuples = extract_node_tuples(tree)
     edges = extract_edges(tree, tuples)
     graph = optimize_graph(build_graph(tree, tuples, edges), label_set_from_rules())
-    vocab = build_vocabulary([graph.tuples], dim=16, seed=42)
+    vocab = build_vocabulary([graph.tuples])
     final = normalize(embed_nodes(graph, vocab))
     assert final.n == graph.n
     functions = [

@@ -1,5 +1,6 @@
 import argparse
 import gc
+import hashlib
 import json
 import logging
 import math
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import statelens.cli
@@ -25,7 +27,7 @@ from statelens.graph_pipeline import (
     optimize_graph,
 )
 
-from helpers import nested_ast_json
+from helpers import nested_ast_json, normalized_contract, walk_json_nodes
 
 METRIC_FIELDS = {"acc", "recall", "precision", "f1", "fpr", "tp", "fp", "tn", "fn"}
 
@@ -124,7 +126,7 @@ def test_train_vocabulary_has_no_test_leakage(trained):
     ]
     labels = [label for label, _ in pruned]
     train_pairs, _ = split_items(pruned, labels, seed=5)
-    recomputed = build_vocabulary([g.tuples for _, g in train_pairs], dim=64, seed=5)
+    recomputed = build_vocabulary([g.tuples for _, g in train_pairs])
     persisted = load_vocabulary(trained["vocab"])
     assert persisted.fingerprint() == recomputed.fingerprint()
 
@@ -358,7 +360,6 @@ def test_threshold_bounds_are_inclusive(trained, corpus_dir):
         ("train", "--seed", "-1", "--seed"),  # numpy's generators take no negative seed
         ("train", "--epochs", "0", "--epochs"),
         ("train", "--hidden", "0", "--hidden"),
-        ("train", "--dim", "0", "--dim"),
         ("train", "--lr", "0", "--lr"),
         ("train", "--lr", "nan", "--lr"),
         ("train", "--lr", "inf", "--lr"),
@@ -413,7 +414,7 @@ def test_detect_vocab_mismatch_exit_two(trained, corpus_dir, tmp_path, capsys):
     graphs = [optimize_graph(build_contract_graph(tree), label_set) for tree in trees]
     from statelens.graph_pipeline import save_vocabulary
 
-    save_vocabulary(other_vocab, build_vocabulary([g.tuples for g in graphs], dim=64, seed=999))
+    save_vocabulary(other_vocab, build_vocabulary([g.tuples for g in graphs]))
     code = main(
         [
             "detect",
@@ -593,21 +594,27 @@ MODEL_CORRUPTIONS = {
 }
 
 
-def _non_finite_vocab(text: str) -> str:
-    vocab = json.loads(text)
-    vocab["embedding"][1][0] = math.nan
-    return json.dumps(vocab)
+def _with_index(value):
+    """A vocabulary fault: the first token's index becomes `value` (json
+    writes math.nan, math.inf and -math.inf as NaN, Infinity, -Infinity)."""
+
+    def corrupt(text: str) -> str:
+        vocab = json.loads(text)
+        first = next(iter(vocab["word2idx"]))
+        return json.dumps({**vocab, "word2idx": {**vocab["word2idx"], first: value}})
+
+    return corrupt
 
 
 VOCAB_CORRUPTIONS = {
     "malformed-json": lambda text: text[: len(text) // 2],
     "not-utf8": lambda text: "\udcff",
     "list-root": lambda text: "[]",
-    "missing-key": lambda text: json.dumps({"word2idx": json.loads(text)["word2idx"]}),
+    "missing-key": lambda text: "{}",
     "wrong-type": lambda text: json.dumps({**json.loads(text), "word2idx": [1, 2]}),
-    "flat-embedding": lambda text: json.dumps({**json.loads(text), "embedding": [0.5, 0.5]}),
     "index-out-of-range": lambda text: json.dumps({**json.loads(text), "word2idx": {"x": 10**6}}),
-    "non-finite": _non_finite_vocab,
+    "index-infinite": _with_index(math.inf),
+    "index-negative-infinite": _with_index(-math.inf),
 }
 
 
@@ -947,6 +954,7 @@ def test_model_and_vocab_width_mismatch_caught_at_load(
 ):
     narrow = tmp_path / "dim32.sgm"
     statelens.detector.GcnModel(statelens.gcn_core.init_params(32, 8, seed=0)).save(narrow)
+    width = load_vocabulary(trained["vocab"]).dim
 
     def never(*args, **kwargs):
         raise AssertionError("no input may be read after a width mismatch")
@@ -963,7 +971,7 @@ def test_model_and_vocab_width_mismatch_caught_at_load(
     assert captured.out == ""
     diagnostic = _single_error_line(captured.err)
     assert diagnostic["code"] == "shape-mismatch"
-    assert "32" in diagnostic["message"] and "64" in diagnostic["message"]
+    assert "32" in diagnostic["message"] and str(width) in diagnostic["message"]
 
 
 def _train_argv(corpus_dir, tmp_path, *extra) -> list[str]:
@@ -1092,6 +1100,14 @@ def test_model_whose_forward_pass_overflows_gets_no_verdict(trained, corpus_dir,
         assert captured.out == "" and len(diagnostics) == 1
 
 
+def _command_argv(command: str, model: Path, vocab: Path, corpus_dir: Path) -> list[str]:
+    """`detect` over every AST of the corpus, or `eval` over its manifest."""
+    argv = [command, "--model", str(model), "--vocab", str(vocab)]
+    if command == "detect":
+        return argv + [str(p) for p in sorted(corpus_dir.glob("*.ast.json"))]
+    return argv + ["--manifest", str(corpus_dir / "manifest.jsonl")]
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("command", ["detect", "eval"])
 def test_vocabulary_with_a_non_finite_value_is_refused(
@@ -1099,20 +1115,66 @@ def test_vocabulary_with_a_non_finite_value_is_refused(
 ):
     unbound = tmp_path / "unbound.sgm"  # an empty fingerprint: no vocabulary check at load
     statelens.detector.GcnModel(statelens.detector.GcnModel.load(trained["model"]).params).save(unbound)
-    vocab = json.loads(trained["vocab"].read_text(encoding="utf-8"))
-    vocab["embedding"][1][0] = value  # json writes NaN, Infinity, -Infinity
     bad = tmp_path / "bad_vocab.json"
-    bad.write_text(json.dumps(vocab), encoding="utf-8")
-    argv = [command, "--model", str(unbound), "--vocab", str(bad)]
-    if command == "detect":
-        argv += [str(p) for p in sorted(corpus_dir.glob("*.ast.json"))]
-    else:
-        argv += ["--manifest", str(corpus_dir / "manifest.jsonl")]
-    assert main(argv) == 2
+    bad.write_text(_with_index(value)(trained["vocab"].read_text(encoding="utf-8")), encoding="utf-8")
+    assert main(_command_argv(command, unbound, bad, corpus_dir)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     diagnostic = _single_error_line(captured.err)
-    assert diagnostic["code"] == "SchemaViolationError" and "not finite" in diagnostic["message"]
+    assert diagnostic["code"] == "SchemaViolationError" and diagnostic["path"] == str(bad)
+    assert "not a vocabulary file" in diagnostic["message"]
+
+
+def _table_era_vocabulary() -> dict:
+    """A vocabulary as statelens once wrote it: tokens carried a hashed name
+    bucket, and features were the rows of a stored 64-wide random table."""
+    tokens = ["Identifier:17", "FunctionDefinition:203", "Literal:number"]
+    table = np.random.default_rng(0).uniform(-0.125, 0.125, size=(1 + len(tokens), 64))
+    word2idx = {token: i + 1 for i, token in enumerate(tokens)}
+    return {"dim": 64, "unk_index": 0, "word2idx": word2idx, "embedding": table.tolist()}
+
+
+@pytest.mark.parametrize(("bound", "code"), [(True, "vocab-mismatch"), (False, "shape-mismatch")])
+@pytest.mark.parametrize("command", ["detect", "eval"])
+def test_files_from_the_embedding_table_era_are_refused(corpus_dir, tmp_path, capsys, command, bound, code):
+    vocab = _table_era_vocabulary()
+    canonical = json.dumps(vocab, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    fingerprint = hashlib.sha256(canonical).hexdigest() if bound else ""  # "": unbound
+    model, vocab_path = tmp_path / "old.sgm", tmp_path / "old_vocab.json"
+    statelens.detector.GcnModel(statelens.gcn_core.init_params(64, 32, 0), fingerprint).save(model)
+    vocab_path.write_text(json.dumps(vocab, sort_keys=True), encoding="utf-8")
+    assert main(_command_argv(command, model, vocab_path, corpus_dir)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _single_error_line(captured.err)["code"] == code
+
+
+def _renamed(source: Path, out: Path) -> Path:
+    """`source` with every node name replaced by a fresh one, the first by a lone surrogate."""
+    doc = json.loads(source.read_text(encoding="utf-8"))
+    named = [node for node in walk_json_nodes(doc) if "name" in node]
+    assert named
+    for k, node in enumerate(named):
+        node["name"] = "\ud800" if k == 0 else f"fresh{k}"
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    return out
+
+
+def test_names_change_no_feature_operator_or_report(trained, corpus_dir, tmp_path, capsys):
+    source = corpus_dir / "pair0000_defective.ast.json"
+    renamed = _renamed(source, tmp_path / "renamed.ast.json")
+    vocab = load_vocabulary(trained["vocab"])
+    before, after = (normalized_contract(parse_ast_json(read_document(p)), vocab) for p in (source, renamed))
+    assert [t.n_name for t in before.tuples] != [t.n_name for t in after.tuples]
+    assert before.features.tobytes() == after.features.tobytes()
+    assert before.s_hat.tobytes() == after.s_hat.tobytes()
+    argv = ["detect", "--model", str(trained["model"]), "--vocab", str(trained["vocab"])]
+    reports = []
+    for path in (source, renamed):
+        assert main([*argv, str(path)]) in (0, 1)
+        report = json.loads(capsys.readouterr().out)
+        reports.append({k: v for k, v in report.items() if k not in ("contract", "timestamp")})
+    assert reports[0] == reports[1]
 
 
 def _options_by_subcommand() -> dict[str, list[argparse.Action]]:

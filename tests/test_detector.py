@@ -195,7 +195,7 @@ def test_train_deterministic():
 
 def test_train_equals_allocating_reference_steps():
     contracts = generated_contracts(10, seed=5)
-    vocab = build_vocabulary([extract_node_tuples(tree) for _, _, tree in contracts], dim=16, seed=5)
+    vocab = build_vocabulary([extract_node_tuples(tree) for _, _, tree in contracts])
     corpus = [normalized_contract(tree, vocab, label=label) for _, label, tree in contracts]
     config = TrainConfig(epochs=5, seed=5, learning_rate=1e-2)
     train_side, test_side = _split(corpus, config.seed)

@@ -485,7 +485,7 @@ def _check_edge_invariants(tree) -> set[EdgeType]:
         with pytest.raises(EmptyGraphError):
             build_graph(tree, tuples, edges)
         return set()
-    vocab = build_vocabulary([tuples], dim=4, seed=0)
+    vocab = build_vocabulary([tuples])
     normalized = normalize(embed_nodes(build_graph(tree, tuples, edges), vocab))
     assert normalized.s_hat.shape == (len(tuples), len(tuples)) == (normalized.features.shape[0],) * 2
     return {e.e_t for e in edges}

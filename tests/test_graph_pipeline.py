@@ -64,19 +64,25 @@ def _tuple(n_id, n_type="Literal", category=DependencyCategory.EXPRESSION, name=
 
 def test_vocab_single_token_kind_has_size_two():
     docs = [[_tuple(1), _tuple(2)]]
-    vocab = build_vocabulary(docs, dim=4, seed=0)
-    assert vocab.embedding.shape[0] == 2  # UNK + "Literal:number"
-    assert vocab.unk_index == 0
+    vocab = build_vocabulary(docs)
+    assert vocab.word2idx == {"Literal:number": 1}
+    assert vocab.dim == 2  # UNK + "Literal:number"
+
+
+def _assert_one_hot(features: np.ndarray, columns: list[int]) -> None:
+    """Row i holds exactly one 1.0, in column columns[i], and 0.0 elsewhere."""
+    expected = np.zeros_like(features)
+    expected[np.arange(len(columns)), columns] = 1.0
+    assert features.tobytes() == expected.tobytes()
 
 
 def test_vocab_embedding_deterministic():
-    docs = [[_tuple(1, "IfStatement", DependencyCategory.CONTROL)]]
-    a = build_vocabulary(docs, dim=16, seed=9)
-    b = build_vocabulary(docs, dim=16, seed=9)
-    assert a.word2idx == b.word2idx
-    assert np.array_equal(a.embedding, b.embedding)
-    c = build_vocabulary(docs, dim=16, seed=10)
-    assert not np.array_equal(a.embedding, c.embedding)
+    graph = _chain_graph()
+    a, b = build_vocabulary([graph.tuples]), build_vocabulary([graph.tuples])
+    assert a.word2idx == b.word2idx and a.fingerprint() == b.fingerprint()
+    features = embed_nodes(graph, a).features
+    assert features.tobytes() == embed_nodes(graph, b).features.tobytes()
+    _assert_one_hot(features, [a.word2idx[token_for(t)] for t in graph.tuples])
 
 
 def test_vocab_order_independent():
@@ -85,22 +91,24 @@ def test_vocab_order_independent():
         [_tuple(3, "Assignment"), _tuple(4, "Assignment")],
     ]
     shuffled = [list(reversed(docs[1])), list(reversed(docs[0]))]
-    assert build_vocabulary(docs, 4, 0).word2idx == build_vocabulary(shuffled, 4, 0).word2idx
+    assert build_vocabulary(docs).word2idx == build_vocabulary(shuffled).word2idx
 
 
 def test_vocab_frequency_then_lexicographic():
     docs = [[_tuple(1, "Assignment"), _tuple(2, "Assignment"), _tuple(3, "IfStatement", DependencyCategory.CONTROL)]]
-    vocab = build_vocabulary(docs, 4, 0)
+    vocab = build_vocabulary(docs)
     assert vocab.word2idx[token_for(docs[0][0])] == 1  # most frequent first
     assert vocab.word2idx[token_for(docs[0][2])] == 2
 
 
 def test_vocab_embedding_bounds():
-    docs = [[_tuple(i, "Identifier", DependencyCategory.DATA, name=f"n{i}") for i in range(50)]]
-    vocab = build_vocabulary(docs, dim=9, seed=3)
-    bound = 1 / np.sqrt(9)
-    assert np.all(np.abs(vocab.embedding) <= bound)
-    assert np.all(np.isfinite(vocab.embedding))
+    rng = np.random.default_rng(3)
+    graph = random_contract_graph(rng, n_min=30, n_max=30)
+    vocab = build_vocabulary([graph.tuples[:10]])  # the other nodes may hold unseen tokens
+    out = embed_nodes(graph, vocab)
+    assert out.features.shape == (graph.n, vocab.dim) == (30, 1 + len(vocab.word2idx))
+    _assert_one_hot(out.features, [vocab.word2idx.get(token_for(t), 0) for t in graph.tuples])
+    assert any(token_for(t) not in vocab.word2idx for t in graph.tuples)
 
 
 def test_token_literal_uses_type_tag():
@@ -109,18 +117,15 @@ def test_token_literal_uses_type_tag():
     assert token_for(_tuple(1, value="true")) == "Literal:bool"
     assert token_for(_tuple(1, value="hello")) == "Literal:string"
     named = _tuple(1, "FunctionDefinition", DependencyCategory.FUNCTION, name="f")
-    token = token_for(named)
-    assert token.startswith("FunctionDefinition:")
-    assert token == token_for(named)
+    assert token_for(named) == token_for(replace(named, n_name="\ud800other"))
 
 
 def test_vocab_save_load_fingerprint(tmp_path):
-    vocab = build_vocabulary([[_tuple(1), _tuple(2, "Assignment")]], dim=6, seed=1)
+    vocab = build_vocabulary([[_tuple(1), _tuple(2, "Assignment")]])
     path = tmp_path / "vocab.json"
     save_vocabulary(path, vocab)
     loaded = load_vocabulary(path)
     assert loaded.word2idx == vocab.word2idx
-    assert np.array_equal(loaded.embedding, vocab.embedding)
     assert loaded.fingerprint() == vocab.fingerprint()
 
 
@@ -368,20 +373,18 @@ def test_per_node_records_are_slotted():
 
 def test_embed_unseen_tokens_hit_unk_row():
     graph = _chain_graph()
-    vocab = build_vocabulary([[_tuple(9, "FunctionCall", DependencyCategory.FUNCTION)]], dim=5, seed=2)
+    vocab = build_vocabulary([[_tuple(9, "FunctionCall", DependencyCategory.FUNCTION)]])
     out = embed_nodes(graph, vocab)
-    assert out.features.shape == (3, 5)
-    for row in out.features:
-        assert np.array_equal(row, vocab.embedding[0])
+    assert out.features.shape == (3, 2)
+    _assert_one_hot(out.features, [0, 0, 0])
 
 
 def test_embed_known_token_exact_row():
     graph = _chain_graph()
-    vocab = build_vocabulary([graph.tuples], dim=5, seed=2)
+    vocab = build_vocabulary([graph.tuples])
     out = embed_nodes(graph, vocab)
-    for i, t in enumerate(graph.tuples):
-        assert np.array_equal(out.features[i], vocab.embedding[vocab.word2idx[token_for(t)]])
-    assert np.all(np.isfinite(out.features))
+    assert out.features.shape == (3, 4)
+    _assert_one_hot(out.features, [vocab.word2idx[token_for(t)] for t in graph.tuples])
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +393,8 @@ def test_embed_known_token_exact_row():
 
 
 def _with_features(graph: ContractGraph) -> ContractGraph:
-    vocab = build_vocabulary([graph.tuples], dim=4, seed=0)
-    return embed_nodes(graph, vocab)
+    """`graph` with random 4-wide features, for tests of S and the products with it."""
+    return replace(graph, features=np.random.default_rng(0).uniform(-0.5, 0.5, size=(graph.n, 4)))
 
 
 def test_normalize_single_node_identity():
@@ -587,10 +590,11 @@ def test_blocked_product_on_a_merged_unit(tmp_path, monkeypatch):
     docs = [json.loads(p.read_text()) for p in sorted(tmp_path.glob("*.ast.json"))]
     tree = parse_ast_json(json.dumps(merge_source_units(docs)), source_unit="merged.sol")
     graph = optimize_graph(build_contract_graph(tree), label_set_from_rules())
-    out = normalize(embed_nodes(graph, build_vocabulary([graph.tuples], dim=64, seed=3)))
+    out = normalize(embed_nodes(graph, build_vocabulary([graph.tuples])))
     assert out.n > DENSE_MAX_NODES
     _assert_blocked_product_bit_identical(out.s_hat, out.features)
-    _assert_blocked_product_bit_identical(out.s_hat, np.maximum(out.features[:, :32], 0.0))
+    hidden = np.maximum(np.random.default_rng(35).normal(size=(out.n, 32)), 0.0)  # ReLU output
+    _assert_blocked_product_bit_identical(out.s_hat, hidden)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +603,7 @@ def test_blocked_product_on_a_merged_unit(tmp_path, monkeypatch):
 
 
 def test_pipeline_bit_identical(proxy_tree):
-    vocab = build_vocabulary([extract_node_tuples(proxy_tree)], dim=8, seed=4)
+    vocab = build_vocabulary([extract_node_tuples(proxy_tree)])
     a = normalized_contract(proxy_tree, vocab, label="defective")
     b = normalized_contract(proxy_tree, vocab, label="defective")
     assert a.features.tobytes() == b.features.tobytes()
