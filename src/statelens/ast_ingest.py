@@ -65,20 +65,21 @@ def _format_scalar(value: Any) -> str:
     return str(value)
 
 
-def _parse_src(raw: Any, path: str) -> tuple[int, int, int]:
+def _parse_src(raw: Any) -> tuple[int, int, int]:
+    """The span a `src` string names; the caller puts the node's path on a fault."""
     if raw is None:
         return (0, 0, 0)
     if not isinstance(raw, str):
-        raise SchemaViolationError(f"{path}: src must be a string, got {type(raw).__name__}")
+        raise SchemaViolationError(f"src must be a string, got {type(raw).__name__}")
     parts = raw.split(":")
     if len(parts) != 3:
-        raise SchemaViolationError(f"{path}: src must look like 'offset:length:file', got {raw!r}")
+        raise SchemaViolationError(f"src must look like 'offset:length:file', got {raw!r}")
     try:
         span = (int(parts[0]), int(parts[1]), int(parts[2]))
     except ValueError:
-        raise SchemaViolationError(f"{path}: non-integer src component in {raw!r}") from None
+        raise SchemaViolationError(f"non-integer src component in {raw!r}") from None
     if span[0] < 0 or span[1] < 0:
-        raise SchemaViolationError(f"{path}: negative src span {raw!r}")
+        raise SchemaViolationError(f"negative src span {raw!r}")
     return span
 
 
@@ -119,20 +120,14 @@ def _build_nodes(data: dict, source_unit: str) -> tuple[dict[int, AstNode], dict
     explicit stack so nesting depth costs no interpreter recursion.
 
     A node is made when it is first reached, its children named by the ids
-    of their JSON objects; a child whose id is bad raises when the walk
-    reaches it. A bad `src` is reported once the node's subtree is done,
-    so every error is raised in the same order the node-by-node recursive
-    build would raise it.
+    of their JSON objects. Each fault raises where the walk meets it, so a
+    file with several reports the first in preorder.
     """
     nodes: dict[int, AstNode] = {}
     parents: dict[int, int] = {}
-    bad_src: dict[int, Any] = {}
-    stack: list[tuple[dict | None, int | None]] = [(data, None)]
+    stack: list[tuple[dict, int | None]] = [(data, None)]
     while stack:
         obj, parent_id = stack.pop()
-        if obj is None:  # the subtree of node `parent_id` is built; its src is not valid
-            path = _error_path(source_unit, nodes, parents, parents.get(parent_id))
-            _parse_src(bad_src[parent_id], path)
         node_type = obj.get("nodeType")
         if not isinstance(node_type, str) or not node_type:
             path = _error_path(source_unit, nodes, parents, parent_id)
@@ -160,13 +155,11 @@ def _build_nodes(data: dict, source_unit: str) -> tuple[dict[int, AstNode], dict
             else:
                 _collect(value, key, attrs, child_objs)
 
-        raw_src = obj.get("src")
         try:
-            span = _parse_src(raw_src, source_unit)
-        except SchemaViolationError:  # raised again, with its path, after the subtree
-            span = (0, 0, 0)
-            bad_src[node_id] = raw_src
-            stack.append((None, node_id))
+            span = _parse_src(obj.get("src"))
+        except SchemaViolationError as exc:  # the path is built only for a bad src
+            path = _error_path(source_unit, nodes, parents, parent_id)
+            raise SchemaViolationError(f"{path}: {exc}") from None
         raw_name = obj.get("name")
         nodes[node_id] = AstNode(  # positional: about a quarter cheaper than by keyword
             node_id,

@@ -5,7 +5,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Sequence
@@ -67,20 +68,9 @@ class Metrics:
         )
 
     def to_json_dict(self) -> dict[str, Any]:
-        def show(value: float | None) -> float | str:
-            return "undefined" if value is None else value
-
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "acc": show(self.acc),
-            "recall": show(self.recall),
-            "precision": show(self.precision),
-            "f1": show(self.f1),
-            "fpr": show(self.fpr),
-        }
+        """Every field in order, a ratio with a zero denominator as "undefined"."""
+        values = {field.name: getattr(self, field.name) for field in fields(self)}
+        return {name: "undefined" if value is None else value for name, value in values.items()}
 
 
 @dataclass
@@ -128,20 +118,10 @@ def _verdict(probability: float, threshold: float) -> str:
 def evaluate(
     model: GcnModel, testset: Sequence[ContractGraph], threshold: float = 0.5
 ) -> Metrics:
-    """Confusion counts and metrics over labeled graphs."""
-    tp = fp = tn = fn = 0
-    for graph in testset:
-        verdict = _verdict(forward(model.params, graph).probability, threshold)
-        if graph.label == "defective":
-            if verdict == "defective":
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if verdict == "defective":
-                fp += 1
-            else:
-                tn += 1
+    """Confusion counts and metrics over graphs labeled defective or clean."""
+    cells = Counter((g.label, _verdict(forward(model.params, g).probability, threshold)) for g in testset)
+    tp, fn = cells["defective", "defective"], cells["defective", "clean"]
+    fp, tn = cells["clean", "defective"], cells["clean", "clean"]
     return Metrics.from_counts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
@@ -209,13 +189,14 @@ def _top_nodes(
     model: GcnModel, graph: ContractGraph, trace: ForwardTrace, k: int
 ) -> list[ReportNode]:
     """Top-k nodes by salience: the defective-class logit each node would
-    produce if it were the whole pooled representation."""
-    if k <= 0:
-        return []
+    produce if it were the whole pooled representation. A listed salience
+    that is not finite is refused, as `_verdict` refuses the probability."""
     node_logits = trace.h2 @ model.params.w_out + model.params.b_out
     salience = node_logits[:, DEFECTIVE]
     order = np.argsort(-salience, kind="stable")[:k].tolist()  # ties by index
     scores = salience[order].tolist()
+    if not all(map(math.isfinite, scores)):
+        raise StateLensError("a listed node salience is not finite", code="non-finite-output")
     return [ReportNode(graph.node_ids[i], graph.spans[i], s) for i, s in zip(order, scores)]
 
 

@@ -149,16 +149,14 @@ SPARSE_BLOCK_ELEMENTS = 1 << 15
 
 class SparseOperator:
     """A sparse n x n matrix, its nonzero entries stored row by row, that
-    numpy code can use where it would use the dense array: `shape`, `ndim`,
-    `nbytes`, and `S @ H` for a dense n x d matrix H.
+    numpy code can use where it would use the dense array: `shape`, `nbytes`,
+    and `S @ H` for a dense n x d matrix H.
 
     The product is a segment sum: stored entry k adds
     `data[k] * H[indices[k]]` to row `rows[k]`, through one flattened
     `np.bincount` per block of whole rows. Every output element sums the
     same entries in the same order whatever the blocking.
     """
-
-    ndim = 2
 
     def __init__(self, n: int, rows: np.ndarray, indices: np.ndarray, data: np.ndarray):
         self.shape = (n, n)
@@ -211,11 +209,8 @@ def build_graph(
     if not tuples:
         raise EmptyGraphError(f"{tree.source_unit}: no categorized nodes")
     index = {t.n_id: i for i, t in enumerate(tuples)}
-    links: list[tuple[int, int]] = []
-    for edge in edges:  # `extract_edges` links categorized nodes only
-        i, j = index[edge.e_s], index[edge.e_e]
-        if i != j:
-            links.append((i, j))
+    # `extract_edges` links categorized nodes only, and never a node to itself
+    links = [(index[edge.e_s], index[edge.e_e]) for edge in edges]
     return ContractGraph(
         node_ids=[t.n_id for t in tuples],
         tuples=list(tuples),

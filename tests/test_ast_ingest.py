@@ -152,31 +152,22 @@ def test_error_names_the_path_of_the_bad_node():
 
 
 @pytest.mark.parametrize(
-    "members,message",
+    "members",
     [
-        # a bad src below a bad src: the deeper one is met first
-        (
-            [{"id": 3, "nodeType": "Block", "src": "x:1:0", "nodes": [{"id": 4, "nodeType": "Return", "src": "y:1:0"}]}],
-            "u/SourceUnit[1]/ContractDefinition[2]/Block[3]: non-integer src component in 'y:1:0'",
-        ),
+        # a bad src below a bad src
+        [{"id": 3, "nodeType": "Block", "src": "x:1:0", "nodes": [{"id": 4, "nodeType": "Return", "src": "y:1:0"}]}],
         # a bad src, then a bad id in the next sibling
-        (
-            [{"id": 3, "nodeType": "Block", "src": "x:1:0"}, {"id": True, "nodeType": "Return"}],
-            "u/SourceUnit[1]/ContractDefinition[2]: non-integer src component in 'x:1:0'",
-        ),
+        [{"id": 3, "nodeType": "Block", "src": "x:1:0"}, {"id": True, "nodeType": "Return"}],
         # a bad id below a bad src
-        (
-            [{"id": 3, "nodeType": "Block", "src": "x:1:0", "nodes": [{"id": 2, "nodeType": "Return"}]}],
-            "u/SourceUnit[1]/ContractDefinition[2]/Block[3]: duplicate id 2",
-        ),
+        [{"id": 3, "nodeType": "Block", "src": "x:1:0", "nodes": [{"id": 2, "nodeType": "Return"}]}],
     ],
 )
-def test_errors_come_in_recursive_build_order(members, message):
-    """The first error is the one a node-by-node recursive build meets
-    first: a node's nodeType and id before its children, its src after."""
+def test_errors_come_in_preorder(members):
+    """Of several faults, the first in preorder is reported: here the bad
+    src of the Block, met before anything below it or after it."""
     with pytest.raises(SchemaViolationError) as err:
         parse_ast_json(_contract_with(*members), source_unit="u")
-    assert str(err.value) == message
+    assert str(err.value) == "u/SourceUnit[1]/ContractDefinition[2]: non-integer src component in 'x:1:0'"
 
 
 def test_parser_records_each_nodes_parent(proxy_tree):

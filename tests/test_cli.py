@@ -1100,6 +1100,42 @@ def test_model_whose_forward_pass_overflows_gets_no_verdict(trained, corpus_dir,
         assert captured.out == "" and len(diagnostics) == 1
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_model_whose_node_salience_overflows_gets_no_report(trained, corpus_dir, tmp_path, capsys, fmt):
+    """Every weight finite, and w_out's defective column scaled so that only
+    the node logits of the contract with the largest one overflow, while its
+    pooled logit stays finite and gives P(defective) = 1.0: no salience that
+    is not finite is listed, and the batch goes on. With `--top-k 0` none is
+    listed, so that contract gets its report."""
+    model = statelens.detector.GcnModel.load(trained["model"])
+    vocab = load_vocabulary(trained["vocab"])
+    params, rng = model.params, np.random.default_rng(0)
+    params.w1[:] = np.abs(rng.standard_normal(params.w1.shape))
+    params.w2[:] = np.abs(rng.standard_normal(params.w2.shape))
+    params.b_out[:], params.w_out[:, 0], params.w_out[:, 1] = 0.0, 0.0, 1.0
+    asts = [str(p) for p in sorted(corpus_dir.glob("*.ast.json"))]
+    traces = {
+        path: statelens.gcn_core.forward(params, normalized_contract(parse_ast_json(read_document(path)), vocab))
+        for path in asts
+    }
+    largest = {path: (trace.h2 @ params.w_out[:, 1]).max() for path, trace in traces.items()}
+    target = max(asts, key=largest.get)
+    assert traces[target].logits[1] < largest[target] / (1 + 1e-6)  # its pooled logit stays finite
+    params.w_out[:, 1] = np.finfo(np.float64).max / largest[target] * (1 + 1e-6)
+    bad = tmp_path / "overflowing_salience.sgm"
+    model.save(bad)
+    argv = ["detect", "--model", str(bad), "--vocab", str(trained["vocab"]), "--format", fmt, *asts]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert not re.search(r"\b(NaN|Infinity|nan|inf)\b", captured.out)
+    diagnostics = [json.loads(line) for line in captured.err.splitlines()]
+    assert {d["code"] for d in diagnostics} == {"non-finite-output"} and target in [d["path"] for d in diagnostics]
+    reported = re.findall(r'"contract": "([^"]+)"' if fmt == "json" else r"^contract: +(\S+)$", captured.out, re.M)
+    assert reported and sorted(reported + [d["path"] for d in diagnostics]) == asts  # one diagnostic per affected file
+    assert main(argv + ["--top-k", "0"]) == 1
+    assert target in capsys.readouterr().out
+
+
 def _command_argv(command: str, model: Path, vocab: Path, corpus_dir: Path) -> list[str]:
     """`detect` over every AST of the corpus, or `eval` over its manifest."""
     argv = [command, "--model", str(model), "--vocab", str(vocab)]

@@ -71,6 +71,8 @@ def test_metrics_undefined_denominators():
     m = det.Metrics.from_counts(tp=3, fp=0, tn=0, fn=0)
     assert m.fpr is None
     assert m.to_json_dict()["fpr"] == "undefined"
+    # the INFO epoch records write the keys in this order, unsorted
+    assert list(m.to_json_dict()) == ["tp", "fp", "tn", "fn", "acc", "recall", "precision", "f1", "fpr"]
     m2 = det.Metrics.from_counts(tp=0, fp=0, tn=4, fn=0)
     assert m2.precision is None and m2.recall is None and m2.f1 is None
     out = m2.to_json_dict()

@@ -485,7 +485,7 @@ def test_normalize_large_graph_returns_small_operator():
     n = graph.n
     out = normalize(graph)
     assert isinstance(out.s_hat, SparseOperator)
-    assert out.s_hat.shape == (n, n) and out.s_hat.ndim == 2 and out.n == n
+    assert out.s_hat.shape == (n, n) and out.n == n
     assert out.s_hat.nbytes < n * n * 8 / 10
     assert out.a_hat.nbytes < n * n * 8 / 10
 
