@@ -7,14 +7,17 @@ In a temporary directory it runs, through `statelens.cli.main`:
 - the default `train`, which writes the model and the vocabulary;
 - `train --folds 3`;
 - `eval` of that model over the corpus;
-- `detect` over every AST of the corpus, in sorted order.
+- `detect` over every AST of the corpus, in sorted order;
+- `inspect --vocab` over the same ASTs, which prints each graph's
+  categories, edge types and `vocab_coverage`.
 
 It prints one `name sha256` line for each of `model`, `vocab`, `train`
-(its stdout, the held-out metrics), `folds`, `eval` and `detect`. In the
-`detect` stdout every `"timestamp"` value is blanked and every `contract`
-path is made relative to the corpus directory, so no digest depends on the
-run's time or temporary directory. Digests can differ between BLAS builds;
-compare a parent and a change on one machine:
+(its stdout, the held-out metrics), `folds`, `eval`, `detect` and
+`inspect`. In the `detect` stdout every `"timestamp"` value is blanked, and
+in the `detect` and `inspect` stdout every file path is made relative to
+the corpus directory, so no digest depends on the run's time or temporary
+directory. Digests can differ between BLAS builds; compare a parent and a
+change on one machine:
 
     python3 scripts/contract_hashes.py
 """
@@ -53,7 +56,9 @@ def digests(work: Path) -> dict[str, bytes]:
     asts = sorted(str(p) for p in corpus.glob("*.ast.json"))
     detected = run("detect", "--model", str(model), "--vocab", str(vocab), *asts)
     detected = re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', detected)
-    detected = detected.replace(f'"{corpus}/'.encode("utf-8"), b'"')
+    prefix = f'"{corpus}/'.encode("utf-8")
+    detected = detected.replace(prefix, b'"')
+    inspected = run("inspect", "--vocab", str(vocab), *asts).replace(prefix, b'"')
     return {
         "model": model.read_bytes(),
         "vocab": vocab.read_bytes(),
@@ -61,6 +66,7 @@ def digests(work: Path) -> dict[str, bytes]:
         "folds": folds,
         "eval": evaluated,
         "detect": detected,
+        "inspect": inspected,
     }
 
 

@@ -193,7 +193,7 @@ def parse_ast_json(document: str, source_unit: str = "<memory>") -> AstTree:
     nesting order decides the child order, and `nodes` holds them in
     preorder. Raises EmptyDocumentError, MalformedJsonError (naming the
     byte), or SchemaViolationError (also for a document nested deeper
-    than the JSON decoder accepts).
+    than the JSON decoder accepts, or an integer longer than it reads).
     """
     if not document or not document.strip():
         raise EmptyDocumentError(f"{source_unit}: empty document")
@@ -203,6 +203,8 @@ def parse_ast_json(document: str, source_unit: str = "<memory>") -> AstTree:
         raise MalformedJsonError(f"{source_unit}: invalid JSON at byte {exc.pos}: {exc.msg}") from None
     except RecursionError:
         raise SchemaViolationError(f"{source_unit}: JSON nested too deeply to parse") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise SchemaViolationError(f"{source_unit}: JSON integer too long to parse") from None
     if not isinstance(data, dict):
         raise SchemaViolationError(f"{source_unit}: document root must be a JSON object")
     if "nodeType" not in data:

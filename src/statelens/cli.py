@@ -48,7 +48,6 @@ from .graph_pipeline import (
     normalize,
     optimize_graph,
     save_vocabulary,
-    token_for,
 )
 
 log = logging.getLogger("statelens")
@@ -328,7 +327,7 @@ def cmd_inspect(args) -> int:
             "edge_types": Counter(e.e_t.value for e in graph.edges),
         }
         if vocab is not None:
-            known = sum(1 for t in graph.tuples if token_for(t) in vocab.word2idx)
+            known = sum(1 for t in graph.tuples if t.token in vocab.word2idx)
             stats["vocab_coverage"] = known / graph.n
         return stats
 

@@ -244,17 +244,17 @@ def build_report(
     contract: str,
     threshold: float = 0.5,
     k: int = 5,
-    model_fingerprint: str | None = None,
+    *,
+    model_fingerprint: str,
 ) -> DetectionReport:
     """Verdict and suspect nodes for one graph. `model_fingerprint` is
-    `model.fingerprint()` when the caller has hashed the model already, as
-    `detect` does once per call; otherwise the model is hashed here."""
+    `model.fingerprint()`, which `detect` hashes once per call."""
     trace = forward(model.params, graph)  # one pass serves verdict and ranking
     return DetectionReport(
         contract=contract,
         verdict=_verdict(trace.probability, threshold),
         probability=trace.probability,
         top_nodes=_top_nodes(model, graph, trace, min(k, MAX_REPORT_NODES)),
-        model_fingerprint=model_fingerprint or model.fingerprint(),
+        model_fingerprint=model_fingerprint,
         timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )

@@ -44,9 +44,8 @@ class EdgeType(Enum):
 @dataclass(slots=True)
 class NodeTuple:
     n_id: int
-    n_name: str
     n_type: str
-    n_value: str
+    token: str  # vocabulary token; see extract_node_tuples
     category: DependencyCategory
 
 
@@ -209,23 +208,36 @@ _REFERENCE_KINDS = {
 }
 
 
-def _node_value(tree: AstTree, node: AstNode) -> str:
+def _literal_tag(value: str) -> str:
+    text = value.strip().lower()
+    if text in ("true", "false"):
+        return "bool"
+    if text.startswith("0x"):
+        return "number"
+    try:
+        float(text)
+        return "number"
+    except ValueError:
+        return "string"
+
+
+def _literal_token(tree: AstTree, node: AstNode) -> str:
+    """`Literal:<tag>` of the node's own value or, when that is empty, of
+    its first Literal child's non-empty value."""
     value = node.attributes.get("value")
-    if value:
-        return value
-    # Initializer literal, e.g. the `5` in `uint x = 5;`.
-    for child_id in node.children:
-        child = tree.nodes[child_id]
-        if child.node_type == "Literal":
-            literal = child.attributes.get("value")
-            if literal:
-                return literal
-    return ""
+    if not value:
+        children = (tree.nodes[child_id] for child_id in node.children)
+        value = next((child.attributes["value"] for child in children
+                      if child.node_type == "Literal" and child.attributes.get("value")), "")
+    return f"Literal:{_literal_tag(value)}"
 
 
 def extract_node_tuples(tree: AstTree, rules: RuleTable | None = None) -> list[NodeTuple]:
     """One tuple per categorized node, in DFS preorder (the order of
-    `tree.nodes`); `rules` defaults to `default_rules()`."""
+    `tree.nodes`); `rules` defaults to `default_rules()`.
+
+    A node's token is its type, and a Literal's is its type tag, so names
+    never enter it: renaming an identifier changes no feature."""
     table = default_rules() if rules is None else rules
     tuples: list[NodeTuple] = []
     for node in tree.nodes.values():
@@ -238,9 +250,9 @@ def extract_node_tuples(tree: AstTree, rules: RuleTable | None = None) -> list[N
                 continue
         else:
             category = candidates[0].category
-        # positional: n_id, n_name, n_type, n_value, category
-        value = _node_value(tree, node)
-        tuples.append(NodeTuple(node.id, node.name or "", node.node_type, value, category))
+        node_type = node.node_type
+        token = _literal_token(tree, node) if node_type == "Literal" else node_type
+        tuples.append(NodeTuple(node.id, node_type, token, category))
     return tuples
 
 

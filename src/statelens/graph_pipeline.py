@@ -30,25 +30,10 @@ from .feature_extract import (
     extract_node_tuples,
 )
 
-def _literal_tag(value: str) -> str:
-    text = value.strip().lower()
-    if text in ("true", "false"):
-        return "bool"
-    if text.startswith("0x"):
-        return "number"
-    try:
-        float(text)
-        return "number"
-    except ValueError:
-        return "string"
-
 
 def token_for(node: NodeTuple) -> str:
-    """Vocabulary token: the node type, literals keyed by their type tag.
-    Names never enter it, so renaming an identifier changes no feature."""
-    if node.n_type == "Literal":
-        return f"Literal:{_literal_tag(node.n_value)}"
-    return node.n_type
+    """`node.token` as a function, for the perfbench layer trace."""
+    return node.token
 
 
 @dataclass
@@ -79,7 +64,7 @@ class Vocabulary:
 def build_vocabulary(corpus: Sequence[Sequence[NodeTuple]]) -> Vocabulary:
     """Frequency-then-lexicographic token indexing from 1; index 0 is
     reserved for out-of-vocabulary tokens."""
-    counts = Counter(token_for(node) for doc in corpus for node in doc)
+    counts = Counter(node.token for doc in corpus for node in doc)
     ordered = sorted(counts, key=lambda token: (-counts[token], token))
     return Vocabulary(word2idx={token: i + 1 for i, token in enumerate(ordered)})
 
@@ -268,7 +253,7 @@ def optimize_graph(graph: ContractGraph, label_set: LabelSet) -> ContractGraph:
 
 def embed_nodes(graph: ContractGraph, vocab: Vocabulary) -> ContractGraph:
     """Features X, n x `vocab.dim`: row i is one-hot in node i's token column."""
-    columns = [vocab.word2idx.get(token_for(t), 0) for t in graph.tuples]
+    columns = [vocab.word2idx.get(t.token, 0) for t in graph.tuples]
     return replace(graph, features=np.eye(vocab.dim)[columns])
 
 

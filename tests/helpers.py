@@ -60,7 +60,8 @@ def _contract_graph(kinds: np.ndarray, links: list[tuple[int, int]]) -> Contract
     tuples = []
     for i, k in enumerate(kinds.tolist()):
         n_type, category = LABEL_PAIRS[k]
-        tuples.append(NodeTuple(n_id=node_ids[i], n_name=f"v{i}", n_type=n_type, n_value="", category=category))
+        token = "Literal:string" if n_type == "Literal" else n_type  # an empty value tags as a string
+        tuples.append(NodeTuple(n_id=node_ids[i], n_type=n_type, token=token, category=category))
     return ContractGraph(
         node_ids=node_ids,
         tuples=tuples,
@@ -461,6 +462,37 @@ def reference_node_fields(obj: dict) -> tuple[dict[str, str], tuple[int, ...]]:
         if key not in ("id", "nodeType", "name", "src"):
             visit(value, key)
     return attrs, tuple(children)
+
+
+def reference_node_value(tree: AstTree, node_id: int) -> str:
+    """A node's own non-empty `value`, else its first Literal child's
+    non-empty `value` (the `5` of `uint x = 5;`), else ''."""
+    node = tree.nodes[node_id]
+    if node.attributes.get("value"):
+        return node.attributes["value"]
+    for child_id in node.children:
+        child = tree.nodes[child_id]
+        if child.node_type == "Literal" and child.attributes.get("value"):
+            return child.attributes["value"]
+    return ""
+
+
+def reference_token(tree: AstTree, node_id: int) -> str:
+    """A node's vocabulary token: its type, or for a Literal `Literal:` and
+    the type tag of `reference_node_value`: bool for true/false, number for
+    hex or anything `float` reads, string otherwise, after trimming and
+    lower-casing."""
+    n_type = tree.nodes[node_id].node_type
+    if n_type != "Literal":
+        return n_type
+    text = reference_node_value(tree, node_id).strip().lower()
+    if text in ("true", "false"):
+        return "Literal:bool"
+    try:
+        float(text)
+        return "Literal:number"
+    except ValueError:
+        return "Literal:number" if text.startswith("0x") else "Literal:string"
 
 
 def json_shape(obj) -> tuple:

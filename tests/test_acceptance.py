@@ -248,7 +248,7 @@ def test_criterion_8_regression_fixture(fixture_dir):
         for t in graph.tuples
         if t.category is DependencyCategory.FUNCTION
         and t.n_type == "FunctionDefinition"
-        and t.n_name == "safeTransferFrom"
+        and tree.nodes[t.n_id].name == "safeTransferFrom"
     ]
     assert len(functions) == 1
     assert np.all(np.isfinite(final.s_hat)) and np.all(np.isfinite(final.features))

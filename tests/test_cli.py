@@ -439,15 +439,21 @@ def test_detect_unparseable_input_exit_two(trained, tmp_path, capsys):
 
 
 def test_detect_too_deep_ast_does_not_stop_the_batch(trained, corpus_dir, tmp_path, capsys):
+    """Neither a document nested past the decoder's depth nor one holding
+    an integer past its digit limit stops the files after it."""
     deep = tmp_path / "deep.ast.json"
     deep.write_text(nested_ast_json(1500))
+    big = tmp_path / "big.ast.json"
+    big.write_text('{"id": 1, "nodeType": "Literal", "value": ' + "9" * 5000 + "}")
     valid = corpus_dir / "pair0000_clean.ast.json"
     argv = ["detect", "--model", str(trained["model"]), "--vocab", str(trained["vocab"])]
-    code = main([*argv, str(deep), str(valid)])
+    code = main([*argv, str(deep), str(big), str(valid)])
     assert code == 2
     captured = capsys.readouterr()
-    diagnostic = _single_error_line(captured.err)
-    assert diagnostic["path"] == str(deep) and diagnostic["code"] == "SchemaViolationError"
+    diagnostics = [json.loads(line) for line in captured.err.strip().splitlines()]
+    assert [(d["level"], d["path"], d["code"]) for d in diagnostics] == [
+        ("error", str(bad), "SchemaViolationError") for bad in (deep, big)
+    ]
     reports = [json.loads(line) for line in captured.out.strip().splitlines()]
     assert [r["contract"] for r in reports] == [str(valid)]
 
@@ -629,6 +635,7 @@ MANIFEST_FAULTS = {
     "not-json": "{oops",
     "bad-label": json.dumps({"ast_path": "x.ast.json", "label": "meh"}),
     "missing-ast-path": json.dumps({"label": "clean"}),
+    "integer-too-long": '{"ast_path": "x.ast.json", "label": "clean", "n": ' + "9" * 5000 + "}",
 }
 
 
@@ -1200,8 +1207,10 @@ def test_names_change_no_feature_operator_or_report(trained, corpus_dir, tmp_pat
     source = corpus_dir / "pair0000_defective.ast.json"
     renamed = _renamed(source, tmp_path / "renamed.ast.json")
     vocab = load_vocabulary(trained["vocab"])
-    before, after = (normalized_contract(parse_ast_json(read_document(p)), vocab) for p in (source, renamed))
-    assert [t.n_name for t in before.tuples] != [t.n_name for t in after.tuples]
+    trees = [parse_ast_json(read_document(p)) for p in (source, renamed)]
+    before, after = (normalized_contract(tree, vocab) for tree in trees)
+    names = [[tree.nodes[t.n_id].name for t in graph.tuples] for tree, graph in zip(trees, (before, after))]
+    assert names[0] != names[1]
     assert before.features.tobytes() == after.features.tobytes()
     assert before.s_hat.tobytes() == after.s_hat.tobytes()
     argv = ["detect", "--model", str(trained["model"]), "--vocab", str(trained["vocab"])]

@@ -105,12 +105,13 @@ def test_metrics_match_brute_force(pairs):
 
 
 def _verdict(model: det.GcnModel, graph, threshold: float) -> str:
-    return det.build_report(model, graph, "c", threshold=threshold, k=0).verdict
+    return det.build_report(model, graph, "c", threshold, k=0, model_fingerprint=model.fingerprint()).verdict
 
 
 def test_predict_tie_goes_defective():
     g = random_normalized_graph(np.random.default_rng(0), n=3, dim=4, label="defective")
-    report = det.build_report(_zero_model(), g, "c", threshold=0.5)
+    model = _zero_model()
+    report = det.build_report(model, g, "c", threshold=0.5, model_fingerprint=model.fingerprint())
     assert report.probability == 0.5
     assert report.verdict == "defective"
     assert det.evaluate(_zero_model(), [g], threshold=0.5).tp == 1
@@ -132,7 +133,11 @@ def test_output_that_is_not_finite_gets_no_verdict():
     params.w2[:] *= 1e200
     model = det.GcnModel(params=params)
     g = random_normalized_graph(rng, n=4, dim=4, label="clean")
-    for call in (lambda: det.build_report(model, g, "c"), lambda: det.evaluate(model, [g])):
+    calls = (
+        lambda: det.build_report(model, g, "c", model_fingerprint=model.fingerprint()),
+        lambda: det.evaluate(model, [g]),
+    )
+    for call in calls:
         with pytest.raises(StateLensError) as caught:
             call()
         assert caught.value.code == "non-finite-output"
@@ -232,7 +237,8 @@ def test_train_scores_only_the_test_graphs():
 
 def test_localize_k_zero():
     g = random_normalized_graph(np.random.default_rng(10), n=4, dim=4)
-    assert det.build_report(_zero_model(), g, contract="g", k=0).top_nodes == []
+    model = _zero_model()
+    assert det.build_report(model, g, contract="g", k=0, model_fingerprint=model.fingerprint()).top_nodes == []
 
 
 def test_localize_uniform_graph_stable_order():
@@ -242,7 +248,7 @@ def test_localize_uniform_graph_stable_order():
     g.s_hat = np.full((5, 5), 1 / 5.0)  # fully uniform mixing
     g.node_ids = [50, 40, 30, 20, 10]
     model = det.GcnModel(params=random_params(rng, dim=4, hidden=3))
-    ranked = det.build_report(model, g, contract="g", k=5).top_nodes
+    ranked = det.build_report(model, g, contract="g", k=5, model_fingerprint=model.fingerprint()).top_nodes
     saliences = [node.salience for node in ranked]
     assert max(saliences) - min(saliences) < 1e-12
     assert [node.node_id for node in ranked] == [50, 40, 30, 20, 10]  # graph order on ties
@@ -252,7 +258,7 @@ def test_localize_sorted_descending():
     rng = np.random.default_rng(12)
     g = random_normalized_graph(rng, n=8, dim=4)
     model = det.GcnModel(params=random_params(rng, dim=4, hidden=3))
-    ranked = det.build_report(model, g, contract="g", k=4).top_nodes
+    ranked = det.build_report(model, g, contract="g", k=4, model_fingerprint=model.fingerprint()).top_nodes
     assert len(ranked) == 4
     saliences = [node.salience for node in ranked]
     assert saliences == sorted(saliences, reverse=True)
@@ -289,7 +295,7 @@ def test_report_roundtrips_to_json():
     rng = np.random.default_rng(13)
     g = random_normalized_graph(rng, n=6, dim=4, label="defective")
     model = det.GcnModel(params=random_params(rng, dim=4, hidden=3))
-    report = det.build_report(model, g, contract="x.ast.json", k=3)
+    report = det.build_report(model, g, contract="x.ast.json", k=3, model_fingerprint=model.fingerprint())
     data = report.to_json_dict()
     assert data["contract"] == "x.ast.json"
     assert data["verdict"] in ("defective", "clean")
@@ -304,16 +310,13 @@ def test_report_takes_a_fingerprint_the_caller_computed():
     rng = np.random.default_rng(15)
     g = random_normalized_graph(rng, n=6, dim=4)
     model = det.GcnModel(params=random_params(rng, dim=4, hidden=3))
-    given = det.build_report(model, g, contract="z", model_fingerprint=model.fingerprint())
-    hashed = det.build_report(model, g, contract="z")
-    given.timestamp = hashed.timestamp
-    assert given.to_json_dict() == hashed.to_json_dict()
-    assert det.build_report(model, g, contract="z", model_fingerprint="f" * 64).model_fingerprint == "f" * 64
+    report = det.build_report(model, g, contract="z", model_fingerprint="f" * 64)
+    assert report.model_fingerprint == report.to_json_dict()["model_fingerprint"] == "f" * 64
 
 
 def test_report_caps_top_nodes_at_ten():
     rng = np.random.default_rng(14)
     g = random_normalized_graph(rng, n=30, dim=4)
     model = det.GcnModel(params=random_params(rng, dim=4, hidden=3))
-    report = det.build_report(model, g, contract="y", k=99)
+    report = det.build_report(model, g, contract="y", k=99, model_fingerprint=model.fingerprint())
     assert len(report.top_nodes) == 10

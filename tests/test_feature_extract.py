@@ -20,7 +20,7 @@ from statelens.feature_extract import (
 )
 from statelens.graph_pipeline import build_graph, build_vocabulary, embed_nodes, normalize
 
-from helpers import generated_contracts, random_tree_docs, walk_json_nodes
+from helpers import generated_contracts, random_tree_docs, reference_token, walk_json_nodes
 
 
 @pytest.mark.parametrize(
@@ -178,7 +178,10 @@ def test_tuples_empty_for_pragma_only():
 
 def test_tuples_proxy_fixture(proxy_tree):
     tuples = extract_node_tuples(proxy_tree)
-    functions = [t for t in tuples if t.n_type == "FunctionDefinition" and t.n_name == "safeTransferFrom"]
+    functions = [
+        t for t in tuples
+        if t.n_type == "FunctionDefinition" and proxy_tree.nodes[t.n_id].name == "safeTransferFrom"
+    ]
     assert len(functions) == 1
     assert functions[0].category is DependencyCategory.FUNCTION
     ids = [t.n_id for t in tuples]
@@ -225,10 +228,9 @@ STATE_VAR_DOC = json.dumps(
 
 
 def test_tuple_value_from_initializer():
-    tuples = extract_node_tuples(parse_ast_json(STATE_VAR_DOC))
-    decl = next(t for t in tuples if t.n_type == "VariableDeclaration")
-    assert decl.n_name == "x"
-    assert decl.n_value == "5"
+    tree = parse_ast_json(STATE_VAR_DOC)
+    decl = next(t for t in extract_node_tuples(tree) if t.n_type == "VariableDeclaration")
+    assert tree.nodes[decl.n_id].name == "x"
     assert decl.category is DependencyCategory.DECLARATION
 
 
@@ -538,3 +540,48 @@ def test_edges_of_random_documents_keep_the_invariants(doc, every_kind_doc):
 def test_edges_of_generated_contracts_and_the_proxy_keep_the_invariants(proxy_tree):
     trees = [proxy_tree, *(tree for _, _, tree in generated_contracts(20, seed=7))]
     assert set().union(*map(_check_edge_invariants, trees)) == set(EdgeType)  # every kind checked
+
+
+# ---------------------------------------------------------------------------
+# Tokens: every categorized node's token is the one `reference_token` gives.
+# ---------------------------------------------------------------------------
+
+_LITERAL_VALUES = ["", " 5 ", "0xff", "0XAB", "TRUE", "false", "hello", "1e3", "nan", "-2.5", "0x"]
+
+
+def _check_tokens(tree) -> None:
+    tuples = extract_node_tuples(tree)
+    assert [t.token for t in tuples] == [reference_token(tree, t.n_id) for t in tuples]
+
+
+@st.composite
+def _valued_docs(draw) -> dict:
+    """A `random_tree_docs` or `_referencing_docs` document where some nodes
+    hold a scalar `value`, some of them empty."""
+    doc = draw(st.one_of(random_tree_docs(), _referencing_docs()))
+    for obj in walk_json_nodes(doc):
+        if draw(st.booleans()):
+            obj["value"] = draw(st.sampled_from(_LITERAL_VALUES))
+    return doc
+
+
+@given(_valued_docs())
+@settings(max_examples=150, deadline=None)
+def test_tokens_of_random_documents_follow_the_reference_rule(doc):
+    _check_tokens(parse_ast_json(json.dumps(doc)))
+
+
+def test_tokens_of_generated_contracts_and_the_proxy_follow_the_reference_rule(proxy_tree):
+    for tree in [proxy_tree, *(tree for _, _, tree in generated_contracts(20, seed=42))]:
+        _check_tokens(tree)
+
+
+def test_literal_with_empty_value_takes_its_first_literal_childs_tag():
+    def node(node_id: int, node_type: str, value: str, *children: dict) -> dict:
+        return {"id": node_id, "nodeType": node_type, "value": value, "nodes": list(children)}
+
+    outer = node(1, "Literal", "", node(2, "Literal", ""), node(3, "Identifier", "true"),
+                 node(4, "Literal", "0x1"), node(5, "Literal", "hello"))
+    tree = parse_ast_json(json.dumps(outer))
+    assert extract_node_tuples(tree)[0].token == "Literal:number"
+    _check_tokens(tree)

@@ -34,7 +34,6 @@ from statelens.graph_pipeline import (
     normalize,
     optimize_graph,
     save_vocabulary,
-    token_for,
 )
 
 from helpers import (
@@ -53,8 +52,10 @@ from helpers import (
 )
 
 
-def _tuple(n_id, n_type="Literal", category=DependencyCategory.EXPRESSION, name="", value="1"):
-    return NodeTuple(n_id=n_id, n_name=name, n_type=n_type, n_value=value, category=category)
+def _tuple(n_id, n_type="Literal", category=DependencyCategory.EXPRESSION):
+    """A tuple whose token is its type, or `Literal:number` for a Literal."""
+    token = "Literal:number" if n_type == "Literal" else n_type
+    return NodeTuple(n_id=n_id, n_type=n_type, token=token, category=category)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +83,7 @@ def test_vocab_embedding_deterministic():
     assert a.word2idx == b.word2idx and a.fingerprint() == b.fingerprint()
     features = embed_nodes(graph, a).features
     assert features.tobytes() == embed_nodes(graph, b).features.tobytes()
-    _assert_one_hot(features, [a.word2idx[token_for(t)] for t in graph.tuples])
+    _assert_one_hot(features, [a.word2idx[t.token] for t in graph.tuples])
 
 
 def test_vocab_order_independent():
@@ -97,8 +98,8 @@ def test_vocab_order_independent():
 def test_vocab_frequency_then_lexicographic():
     docs = [[_tuple(1, "Assignment"), _tuple(2, "Assignment"), _tuple(3, "IfStatement", DependencyCategory.CONTROL)]]
     vocab = build_vocabulary(docs)
-    assert vocab.word2idx[token_for(docs[0][0])] == 1  # most frequent first
-    assert vocab.word2idx[token_for(docs[0][2])] == 2
+    assert vocab.word2idx[docs[0][0].token] == 1  # most frequent first
+    assert vocab.word2idx[docs[0][2].token] == 2
 
 
 def test_vocab_embedding_bounds():
@@ -107,17 +108,21 @@ def test_vocab_embedding_bounds():
     vocab = build_vocabulary([graph.tuples[:10]])  # the other nodes may hold unseen tokens
     out = embed_nodes(graph, vocab)
     assert out.features.shape == (graph.n, vocab.dim) == (30, 1 + len(vocab.word2idx))
-    _assert_one_hot(out.features, [vocab.word2idx.get(token_for(t), 0) for t in graph.tuples])
-    assert any(token_for(t) not in vocab.word2idx for t in graph.tuples)
+    _assert_one_hot(out.features, [vocab.word2idx.get(t.token, 0) for t in graph.tuples])
+    assert any(t.token not in vocab.word2idx for t in graph.tuples)
+
+
+def _tokens(*nodes: dict) -> list[str]:
+    """The tokens of `nodes`, each a node object without an id, under one SourceUnit."""
+    doc = {"id": 0, "nodeType": "SourceUnit", "nodes": [{"id": i + 1, **node} for i, node in enumerate(nodes)]}
+    return [t.token for t in extract_node_tuples(parse_ast_json(json.dumps(doc)))]
 
 
 def test_token_literal_uses_type_tag():
-    assert token_for(_tuple(1, value="5")) == "Literal:number"
-    assert token_for(_tuple(1, value="0xff")) == "Literal:number"
-    assert token_for(_tuple(1, value="true")) == "Literal:bool"
-    assert token_for(_tuple(1, value="hello")) == "Literal:string"
-    named = _tuple(1, "FunctionDefinition", DependencyCategory.FUNCTION, name="f")
-    assert token_for(named) == token_for(replace(named, n_name="\ud800other"))
+    literals = ({"nodeType": "Literal", "value": value} for value in ("5", "0xff", "true", "hello"))
+    assert _tokens(*literals) == ["Literal:number", "Literal:number", "Literal:bool", "Literal:string"]
+    named = [_tokens({"nodeType": "FunctionDefinition", "name": name}) for name in ("f", "\ud800other")]
+    assert named[0] == named[1] == ["FunctionDefinition"]
 
 
 def test_vocab_save_load_fingerprint(tmp_path):
@@ -162,7 +167,7 @@ def test_build_graph_single_node():
 def test_build_graph_symmetrizes_edges():
     tree = _tiny_tree_and_graph()
     tuples = [
-        _tuple(3, "VariableDeclaration", DependencyCategory.DECLARATION, name="x"),
+        _tuple(3, "VariableDeclaration", DependencyCategory.DECLARATION),
         _tuple(2, "ContractDefinition", DependencyCategory.DECLARATION),
     ]
     edges = [EdgeTuple(e_s=3, e_e=2, e_t=EdgeType.AST_CHILD)]
@@ -207,9 +212,9 @@ def test_build_graph_links_are_sorted_unique_edge_endpoints(proxy_tree):
 def _chain_graph() -> ContractGraph:
     """a -- b -- c with distinct types so pruning can target b."""
     tuples = [
-        _tuple(1, "VariableDeclaration", DependencyCategory.DECLARATION, name="a"),
-        _tuple(2, "Assignment", DependencyCategory.EXPRESSION, name="b"),
-        _tuple(3, "IfStatement", DependencyCategory.CONTROL, name="c"),
+        _tuple(1, "VariableDeclaration", DependencyCategory.DECLARATION),
+        _tuple(2, "Assignment", DependencyCategory.EXPRESSION),
+        _tuple(3, "IfStatement", DependencyCategory.CONTROL),
     ]
     edges = [
         EdgeTuple(e_s=1, e_e=2, e_t=EdgeType.AST_CHILD),
@@ -384,7 +389,7 @@ def test_embed_known_token_exact_row():
     vocab = build_vocabulary([graph.tuples])
     out = embed_nodes(graph, vocab)
     assert out.features.shape == (3, 4)
-    _assert_one_hot(out.features, [vocab.word2idx[token_for(t)] for t in graph.tuples])
+    _assert_one_hot(out.features, [vocab.word2idx[t.token] for t in graph.tuples])
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +526,10 @@ def test_sparse_forward_matches_dense_s():
     assert abs(forward(params, sparse).probability - forward(params, dense).probability) <= 1e-12
     assert np.max(np.abs(forward(params, sparse).h2 - forward(params, dense).h2)) <= 1e-12
     model = det.GcnModel(params=params)
-    top_sparse = det.build_report(model, sparse, contract="sparse").top_nodes
-    top_dense = det.build_report(model, dense, contract="dense").top_nodes
+    top_sparse, top_dense = (
+        det.build_report(model, graph, contract="g", model_fingerprint=model.fingerprint()).top_nodes
+        for graph in (sparse, dense)
+    )
     saliences_sparse = np.array([node.salience for node in top_sparse])
     saliences_dense = np.array([node.salience for node in top_dense])
     assert np.max(np.abs(saliences_sparse - saliences_dense)) <= 1e-12
