@@ -143,16 +143,7 @@ def _build_nodes(data: dict, source_unit: str) -> tuple[dict[int, AstNode], dict
         attrs: dict[str, str] = {}
         child_objs: list[dict] = []
         for key, value in obj.items():
-            if key in _RESERVED_KEYS:
-                continue
-            kind = type(value)  # json.loads yields exact types
-            if kind is str:  # the common cases inline; `_collect` does the rest
-                attrs[key] = value
-            elif kind is dict and "nodeType" in value:
-                child_objs.append(value)
-            elif kind is list and all(type(item) is dict and "nodeType" in item for item in value):
-                child_objs += value  # a list of node objects, or an empty one: taken whole
-            else:
+            if key not in _RESERVED_KEYS:
                 _collect(value, key, attrs, child_objs)
 
         try:
@@ -207,8 +198,6 @@ def parse_ast_json(document: str, source_unit: str = "<memory>") -> AstTree:
         raise SchemaViolationError(f"{source_unit}: JSON integer too long to parse") from None
     if not isinstance(data, dict):
         raise SchemaViolationError(f"{source_unit}: document root must be a JSON object")
-    if "nodeType" not in data:
-        raise SchemaViolationError(f"{source_unit}: document root has no nodeType")
     try:
         nodes, parents = _build_nodes(data, source_unit)
     except RecursionError:  # attribute values (not nodes) nested past the limit
@@ -217,12 +206,12 @@ def parse_ast_json(document: str, source_unit: str = "<memory>") -> AstTree:
 
 
 def subtree_preorder(tree: AstTree, node_id: int) -> Iterator[AstNode]:
-    """DFS preorder over the subtree at `node_id`, following child order."""
+    """DFS preorder over the subtree at `node_id`, following child order.
+    A child id missing from `tree.nodes` raises KeyError; `validate_tree`
+    reports one in a tree that `parse_ast_json` did not build."""
     stack = [node_id]
     while stack:
-        node = tree.nodes.get(stack.pop())
-        if node is None:
-            continue
+        node = tree.nodes[stack.pop()]
         yield node
         stack.extend(reversed(node.children))
 

@@ -300,24 +300,21 @@ def extract_edges(tree: AstTree, tuples: list[NodeTuple]) -> list[EdgeTuple]:
         ancestor = parents.get(node_id)
         while ancestor is not None and ancestor not in categorized:
             ancestor = parents.get(ancestor)
-        if ancestor is None and node_id != first_id:
-            ancestor = first_id
-        if ancestor is not None:
-            edges.add((ancestor, node_id, "AstChild"))
+        edges.add((first_id if ancestor is None else ancestor, node_id, "AstChild"))
 
         target = referenced_declaration(node)
-        if target is not None and target in categorized and target != node_id:
+        if target is not None:
             edges.add((node_id, target, "DeclRef"))
 
         if node.node_type == "FunctionCall":
             callee = _resolve_callee(tree, node)
-            if callee is not None and callee in categorized and callee != node_id:
+            if callee is not None:
                 edges.add((node_id, callee, "FuncCall"))
 
         if t.category is DependencyCategory.CONTROL:
             for child_id in node.children:
                 first = _first_categorized(tree, child_id, categorized)
-                if first is not None and first != node_id:
+                if first is not None:
                     edges.add((node_id, first, "ControlFlow"))
 
         if node.node_type == "Assignment" and node.children:
@@ -326,11 +323,9 @@ def extract_edges(tree: AstTree, tuples: list[NodeTuple]) -> list[EdgeTuple]:
             if target is not None:
                 for rhs_root in rhs_roots:
                     for descendant in subtree_preorder(tree, rhs_root):
-                        if (
-                            descendant.node_type == "Identifier"
-                            and descendant.id in categorized
-                            and descendant.id != target
-                        ):
+                        if descendant.node_type == "Identifier":
                             edges.add((descendant.id, target, "DataDep"))
 
-    return [EdgeTuple(s, e, _EDGE_TYPE_OF[t]) for s, e, t in sorted(edges)]
+    # the one rule every kind keeps: an edge joins two distinct categorized nodes
+    return [EdgeTuple(s, e, _EDGE_TYPE_OF[t]) for s, e, t in sorted(edges)
+            if s != e and s in categorized and e in categorized]

@@ -51,9 +51,15 @@ class Vocabulary:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Vocabulary":
-        vocab = cls(word2idx={str(k): int(v) for k, v in data["word2idx"].items()})
-        if not all(0 <= i < vocab.dim for i in vocab.word2idx.values()):
-            raise SchemaViolationError(f"vocabulary indices must lie in [0, {vocab.dim})")
+        """The vocabulary `to_json_dict` wrote: each token's index a JSON
+        integer (not 1.5, true or "1") in [0, dim), no two tokens sharing
+        one. Any other value raises ValueError."""
+        vocab = cls(word2idx=dict(data["word2idx"].items()))
+        indices = list(vocab.word2idx.values())
+        if not all(type(i) is int and 0 <= i < vocab.dim for i in indices):
+            raise ValueError(f"indices must be integers in [0, {vocab.dim})")
+        if len(set(indices)) != len(indices):
+            raise ValueError("two tokens share one index")
         return vocab
 
     def fingerprint(self) -> str:
@@ -81,7 +87,7 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
             return Vocabulary.from_json_dict(json.loads(read_document(path)))
         except MalformedJsonError as exc:
             raise SchemaViolationError(str(exc)) from None
-        except (ValueError, OverflowError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise SchemaViolationError(
                 f"{path}: not a vocabulary file: {type(exc).__name__}: {exc}"
             ) from None

@@ -33,6 +33,9 @@ def test_proxy_fixture_has_public_transfer_function(proxy_tree):
 def test_empty_object_is_schema_violation():
     with pytest.raises(SchemaViolationError):
         parse_ast_json("{}")
+    with pytest.raises(SchemaViolationError) as err:  # a root without nodeType, worded like any node
+        parse_ast_json('{"id": 1, "nodes": []}', source_unit="u.json")
+    assert str(err.value) == "u.json: nodeType must be a non-empty string"
 
 
 @pytest.mark.parametrize("document", ["", "   \n\t"])

@@ -621,6 +621,10 @@ VOCAB_CORRUPTIONS = {
     "index-out-of-range": lambda text: json.dumps({**json.loads(text), "word2idx": {"x": 10**6}}),
     "index-infinite": _with_index(math.inf),
     "index-negative-infinite": _with_index(-math.inf),
+    "index-fractional": _with_index(1.5),
+    "index-boolean": _with_index(True),
+    "index-string": _with_index("1"),
+    "index-shared": lambda text: json.dumps({"word2idx": dict.fromkeys(json.loads(text)["word2idx"], 1)}),
 }
 
 

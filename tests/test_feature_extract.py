@@ -53,6 +53,7 @@ def test_identifier_needs_reference_kind():
     assert table.category("Identifier", {}) is None
     assert table.category("Identifier", {}, ref_kind="variable") is DependencyCategory.DATA
     assert table.category("Identifier", {}, ref_kind="function") is DependencyCategory.FUNCTION
+    assert table.category("Identifier", {}, ref_kind="modifier") is DependencyCategory.FUNCTION
     assert table.category("Identifier", {}, ref_kind="event") is None
 
 
@@ -113,7 +114,7 @@ def test_rule_table_candidates_stop_at_first_rule_without_predicates():
 def test_default_rules_is_a_compiled_table_in_file_order():
     table = default_rules()
     assert isinstance(table, RuleTable)
-    assert [r.pattern for r in table][:3] == ["Identifier", "Identifier", "VariableDeclaration"]
+    assert [r.pattern for r in table][:4] == ["Identifier", "Identifier", "Identifier", "VariableDeclaration"]
 
 
 def test_custom_rule_table_resolves_ref_kind():
@@ -328,6 +329,61 @@ def test_decl_ref_edges():
     edges = extract_edges(tree, extract_node_tuples(tree))
     assert EdgeTuple(e_s=11, e_e=1, e_t=EdgeType.DECL_REF) in edges
     assert EdgeTuple(e_s=12, e_e=2, e_t=EdgeType.DECL_REF) in edges
+
+
+def _guarded_call_doc() -> str:
+    """Compact AST for `contract C { address owner; modifier onlyOwner() { _; }
+    function check() internal {} function f() public onlyOwner { check();
+    owner = msg.sender; C.owner; z; } }`, where the MemberAccess `C.owner`
+    refers to the contract itself and the Identifier `z` to its own id."""
+
+    def ident(node_id: int, name: str, ref: int) -> dict:
+        return {"id": node_id, "nodeType": "Identifier", "name": name, "referencedDeclaration": ref}
+
+    def statement(node_id: int, expression: dict) -> dict:
+        return {"id": node_id, "nodeType": "ExpressionStatement", "expression": expression}
+
+    body = [
+        statement(12, {"id": 13, "nodeType": "FunctionCall", "expression": ident(14, "check", 7), "arguments": []}),
+        statement(15, {
+            "id": 16, "nodeType": "Assignment", "operator": "=", "leftHandSide": ident(17, "owner", 3),
+            "rightHandSide": {"id": 18, "nodeType": "MemberAccess", "memberName": "sender",
+                              "expression": ident(19, "msg", -15)},
+        }),
+        statement(21, {"id": 20, "nodeType": "MemberAccess", "memberName": "owner", "referencedDeclaration": 2,
+                       "expression": ident(24, "C", 2)}),
+        statement(23, ident(22, "z", 22)),
+    ]
+    members = [
+        {"id": 3, "nodeType": "VariableDeclaration", "name": "owner", "stateVariable": True},
+        {"id": 4, "nodeType": "ModifierDefinition", "name": "onlyOwner",
+         "body": {"id": 5, "nodeType": "Block", "statements": [{"id": 6, "nodeType": "PlaceholderStatement"}]}},
+        {"id": 7, "nodeType": "FunctionDefinition", "name": "check", "visibility": "internal"},
+        {"id": 8, "nodeType": "FunctionDefinition", "name": "f", "visibility": "public",
+         "modifiers": [{"id": 9, "nodeType": "ModifierInvocation", "modifierName": ident(10, "onlyOwner", 4)}],
+         "body": {"id": 11, "nodeType": "Block", "statements": body}},
+    ]
+    contract = {"id": 2, "nodeType": "ContractDefinition", "name": "C", "nodes": members}
+    return json.dumps({"id": 1, "nodeType": "SourceUnit", "nodes": [contract]})
+
+
+def test_edges_of_a_modifier_guard_and_an_internal_call():
+    """Every edge, in order: the modifier's name refers to its definition
+    and the internal call reaches its callee. No edge touches the
+    uncategorized contract (20 -> 2), the builtin `msg` (19 -> 17), the
+    self-referring `z` (22 -> 22), or links the first node to itself."""
+    tree = parse_ast_json(_guarded_call_doc())
+    tuples = extract_node_tuples(tree)
+    assert [t.n_id for t in tuples] == [3, 4, 7, 8, 9, 10, 13, 14, 16, 17, 18, 20]
+    assert tuples[5].category is DependencyCategory.FUNCTION  # the modifier's name
+    edges = [(e.e_s, e.e_e, e.e_t.value) for e in extract_edges(tree, tuples)]
+    assert edges == [
+        (3, 4, "AstChild"), (3, 7, "AstChild"), (3, 8, "AstChild"),
+        (8, 9, "AstChild"), (8, 13, "AstChild"), (8, 16, "AstChild"), (8, 20, "AstChild"),
+        (9, 10, "AstChild"), (10, 4, "DeclRef"),
+        (13, 7, "FuncCall"), (13, 14, "AstChild"), (14, 7, "DeclRef"),
+        (16, 17, "AstChild"), (16, 18, "AstChild"), (17, 3, "DeclRef"),
+    ]
 
 
 def test_function_call_edge_resolves(proxy_tree):
