@@ -19,10 +19,13 @@ Each figure is the median of 7 timing runs, in microseconds.
 `graph_pipeline.DENSE_MAX_NODES` is set from this table.
 
 With `--blocks` it instead sweeps `graph_pipeline.SPARSE_BLOCK_ELEMENTS`, the
-budget of one block of a sparse S @ X, on one graph of n nodes (default
-2560, the size of a merged benchmark unit), and prints per product the
-median time in microseconds and the minor page faults (from
-`resource.getrusage`) over 30 products in this process:
+budget of one block of a sparse S @ H, on one graph of n nodes (default
+2560, the size of a merged benchmark unit). The budget governs both sparse
+products of `forward`, so for each budget it times three things, 30 times
+each in this process: S @ X at d = 11, S @ H at the hidden width (32), and
+one whole `forward`. It prints the median time in microseconds of each and,
+for the two products, the minor page faults per product (from
+`resource.getrusage`):
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/s_crossover.py --blocks [n]
 
@@ -70,23 +73,35 @@ def median_us(fn, reps: int) -> float:
     return sorted(runs)[3] * 1e6
 
 
+def timed(fn, reps: int = 30) -> tuple[float, float]:
+    """Median microseconds per call, and minor page faults per call, over `reps` calls."""
+    times, faults = [], resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(reps):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return sorted(times)[reps // 2] * 1e6, faults / reps
+
+
 def sweep_blocks(n: int) -> None:
-    graph = random_graph(np.random.default_rng(5), n)
+    rng = np.random.default_rng(5)
     gp.DENSE_MAX_NODES = n - 1
-    s_hat = gp.normalize(graph).s_hat
+    graph = gp.normalize(random_graph(rng, n))
+    s_hat, hidden = graph.s_hat, rng.random((n, HIDDEN))
+    params = init_params(DIM, HIDDEN, 0)
     entries = len(s_hat.data)
-    print(f"n = {n}, {entries} stored entries, d = {DIM}")
-    print(f"{'budget':>10} | {'us/product':>10} {'faults/product':>14}")
-    for budget in (*BLOCK_BUDGETS, entries * DIM):
+    print(f"n = {n}, {entries} stored entries")
+    print(f"{'':>10} | {'S @ X, d = ' + str(DIM):^25} | {'S @ H, d = ' + str(HIDDEN):^25} | {'forward':>10}")
+    product = f"{'us/product':>10} {'faults/product':>14}"
+    print(f"{'budget':>10} | {product} | {product} | {'us':>10}")
+    for budget in (*BLOCK_BUDGETS, entries * HIDDEN):
         gp.SPARSE_BLOCK_ELEMENTS = budget
-        times, faults = [], resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(30):
-            start = time.perf_counter()
-            s_hat @ graph.features
-            times.append(time.perf_counter() - start)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-        label = "one block" if budget == entries * DIM else str(budget)
-        print(f"{label:>10} | {sorted(times)[15] * 1e6:10.1f} {faults / 30:14.1f}")
+        sx_us, sx_faults = timed(lambda: s_hat @ graph.features)
+        sh_us, sh_faults = timed(lambda: s_hat @ hidden)
+        forward_us, _ = timed(lambda: forward(params, graph))
+        label = "one block" if budget == entries * HIDDEN else str(budget)
+        print(f"{label:>10} | {sx_us:10.1f} {sx_faults:14.1f} | {sh_us:10.1f} {sh_faults:14.1f} | {forward_us:10.1f}")
 
 
 def main() -> int:

@@ -55,6 +55,8 @@ def load_corpus(manifest_path: str | Path) -> list[tuple[str, str]]:
                 raise SchemaViolationError(
                     f"{manifest_path}:{lineno}: manifest line holds an integer too long to parse"
                 ) from None
+            except RecursionError:
+                raise SchemaViolationError(f"{manifest_path}:{lineno}: JSON nested too deeply to parse") from None
             if not isinstance(record, dict) or not isinstance(record.get("ast_path"), str) or "label" not in record:
                 raise SchemaViolationError(
                     f"{manifest_path}:{lineno}: record needs a string ast_path and a label"

@@ -147,7 +147,7 @@ def train(
     # step writes its gradients into `grads` and updates `params` in place.
     params = init_params(dim, config.hidden_width, config.seed)
     model = GcnModel(params=params, vocab_fingerprint=vocab_fingerprint)
-    grads = GcnParams.from_flat(np.empty_like(params.flat), params.dim, params.hidden)
+    grads = GcnParams(np.empty_like(params.flat), params.dim, params.hidden)
     state = OptimizerState()
     rng = random.Random(config.seed)
     history: list[EpochStats] = []

@@ -45,7 +45,7 @@ class EdgeType(Enum):
 class NodeTuple:
     n_id: int
     n_type: str
-    token: str  # vocabulary token; see extract_node_tuples
+    token: str  # the type; a Literal's token is `Literal:<kind>`
     category: DependencyCategory
 
 
@@ -61,11 +61,6 @@ class Rule:
     pattern: str
     attrs: tuple[tuple[str, str], ...]
     category: DependencyCategory
-
-    def matches(self, node_type: str, attributes: dict[str, str]) -> bool:
-        if not fnmatch.fnmatchcase(node_type, self.pattern):
-            return False
-        return all(attributes.get(key) == value for key, value in self.attrs)
 
 
 # (node_type, category) pairs a graph node must match to survive pruning
@@ -106,7 +101,8 @@ class RuleTable:
     def category(
         self, node_type: str, attributes: dict[str, str], ref_kind: str | None = None
     ) -> DependencyCategory | None:
-        """What `Rule.matches` in rule order gives, with `ref_kind` (when
+        """The category of the first rule whose pattern matches `node_type`
+        and whose every `key=value` predicate holds, with `ref_kind` (when
         not None) standing in for the node's own `ref_kind` attribute."""
         for rule in self.candidates(node_type):
             for key, value in rule.attrs:
@@ -208,36 +204,13 @@ _REFERENCE_KINDS = {
 }
 
 
-def _literal_tag(value: str) -> str:
-    text = value.strip().lower()
-    if text in ("true", "false"):
-        return "bool"
-    if text.startswith("0x"):
-        return "number"
-    try:
-        float(text)
-        return "number"
-    except ValueError:
-        return "string"
-
-
-def _literal_token(tree: AstTree, node: AstNode) -> str:
-    """`Literal:<tag>` of the node's own value or, when that is empty, of
-    its first Literal child's non-empty value."""
-    value = node.attributes.get("value")
-    if not value:
-        children = (tree.nodes[child_id] for child_id in node.children)
-        value = next((child.attributes["value"] for child in children
-                      if child.node_type == "Literal" and child.attributes.get("value")), "")
-    return f"Literal:{_literal_tag(value)}"
-
-
 def extract_node_tuples(tree: AstTree, rules: RuleTable | None = None) -> list[NodeTuple]:
     """One tuple per categorized node, in DFS preorder (the order of
     `tree.nodes`); `rules` defaults to `default_rules()`.
 
-    A node's token is its type, and a Literal's is its type tag, so names
-    never enter it: renaming an identifier changes no feature."""
+    A node's token is its type, and a Literal's is `Literal:<kind>`, the
+    class the compiler puts in its `kind` field. Names never enter it:
+    renaming an identifier changes no feature."""
     table = default_rules() if rules is None else rules
     tuples: list[NodeTuple] = []
     for node in tree.nodes.values():
@@ -251,7 +224,7 @@ def extract_node_tuples(tree: AstTree, rules: RuleTable | None = None) -> list[N
         else:
             category = candidates[0].category
         node_type = node.node_type
-        token = _literal_token(tree, node) if node_type == "Literal" else node_type
+        token = "Literal:" + node.attributes.get("kind", "") if node_type == "Literal" else node_type
         tuples.append(NodeTuple(node.id, node_type, token, category))
     return tuples
 

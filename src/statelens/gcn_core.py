@@ -47,18 +47,8 @@ class GcnParams:
     whole-vector expressions.
     """
 
-    def __init__(self, w1: np.ndarray, w2: np.ndarray, w_out: np.ndarray, b_out: np.ndarray):
-        flat = np.concatenate([np.ravel(arr) for arr in (w1, w2, w_out, b_out)], dtype=np.float64)
-        self._bind(flat, *np.shape(w1))
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, dim: int, hidden: int) -> "GcnParams":
-        """Wrap an existing vector of `param_count(dim, hidden)` floats; no copy."""
-        params = cls.__new__(cls)
-        params._bind(flat, dim, hidden)
-        return params
-
-    def _bind(self, flat: np.ndarray, dim: int, hidden: int) -> None:
+    def __init__(self, flat: np.ndarray, dim: int, hidden: int):
+        """Wrap a vector of `param_count(dim, hidden)` floats; no copy."""
         self.flat = flat
         self.dim = int(dim)
         self.hidden = int(hidden)
@@ -101,14 +91,10 @@ def init_params(dim: int, hidden: int, seed: int) -> GcnParams:
 
     def glorot(rows: int, cols: int) -> np.ndarray:
         bound = np.sqrt(6.0 / (rows + cols))
-        return rng.uniform(-bound, bound, size=(rows, cols))
+        return rng.uniform(-bound, bound, size=rows * cols)
 
-    return GcnParams(
-        w1=glorot(dim, hidden),
-        w2=glorot(hidden, hidden),
-        w_out=glorot(hidden, 2),
-        b_out=np.zeros(2),
-    )
+    flat = np.concatenate([glorot(dim, hidden), glorot(hidden, hidden), glorot(hidden, 2), np.zeros(2)])
+    return GcnParams(flat, dim, hidden)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -157,7 +143,7 @@ def loss_and_grads(
     trace = forward(params, graph, sx)
     loss = -float(np.log(trace.probs[target])) + 0.5 * l2_penalty * params.norm_sq()
     if out is None:
-        out = GcnParams.from_flat(np.empty_like(params.flat), params.dim, params.hidden)
+        out = GcnParams(np.empty_like(params.flat), params.dim, params.hidden)
 
     d_logits = out.b_out
     d_logits[:] = trace.probs
@@ -264,4 +250,4 @@ def params_from_bytes(blob: bytes) -> tuple[GcnParams, str]:
     flat = np.frombuffer(blob, dtype="<f8", count=count, offset=_HEADER_END + fp_len)
     if not np.isfinite(flat).all():
         raise SchemaViolationError("model holds a weight that is not finite")
-    return GcnParams.from_flat(flat.astype(np.float64), dim, hidden), fingerprint
+    return GcnParams(flat.astype(np.float64), dim, hidden), fingerprint

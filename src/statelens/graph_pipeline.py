@@ -87,6 +87,8 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
             return Vocabulary.from_json_dict(json.loads(read_document(path)))
         except MalformedJsonError as exc:
             raise SchemaViolationError(str(exc)) from None
+        except RecursionError:
+            raise SchemaViolationError(f"{path}: JSON nested too deeply to parse") from None
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise SchemaViolationError(
                 f"{path}: not a vocabulary file: {type(exc).__name__}: {exc}"

@@ -222,8 +222,14 @@ def reference_top_nodes(
     return [(graph.node_ids[i], graph.spans[i], salience[i]) for i in order]
 
 
+def params_of(w1, w2, w_out, b_out) -> GcnParams:
+    """The parameters with these weights, concatenated into one fresh vector."""
+    flat = np.concatenate([np.ravel(arr) for arr in (w1, w2, w_out, b_out)], dtype=np.float64)
+    return GcnParams(flat, *np.shape(w1))
+
+
 def random_params(rng: np.random.Generator, dim: int, hidden: int, scale=1.0) -> GcnParams:
-    return GcnParams(
+    return params_of(
         w1=rng.normal(scale=scale, size=(dim, hidden)),
         w2=rng.normal(scale=scale, size=(hidden, hidden)),
         w_out=rng.normal(scale=scale, size=(hidden, 2)),
@@ -249,7 +255,7 @@ def finite_difference_grads(
         minus = loss_only()
         flat[i] = original
         grad[i] = (plus - minus) / (2 * step)
-    return GcnParams.from_flat(grad, params.dim, params.hidden)
+    return GcnParams(grad, params.dim, params.hidden)
 
 
 def max_relative_grad_error(analytic: GcnParams, numeric: GcnParams) -> float:
@@ -310,7 +316,7 @@ def reference_loss_and_grads(
     grads = np.concatenate([d_w1.ravel(), d_w2.ravel(), d_w_out.ravel(), d_logits])
     if l2_penalty:
         grads = grads + l2_penalty * params.flat
-    return loss, GcnParams.from_flat(grads, params.dim, params.hidden)
+    return loss, GcnParams(grads, params.dim, params.hidden)
 
 
 def reference_optimizer_step(
@@ -327,7 +333,7 @@ def reference_optimizer_step(
     bias1 = 1.0 - ADAM_BETA1**t
     bias2 = 1.0 - ADAM_BETA2**t
     updated = p - lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
-    return GcnParams.from_flat(updated, params.dim, params.hidden), OptimizerState(step=t, m=m, v=v)
+    return GcnParams(updated, params.dim, params.hidden), OptimizerState(step=t, m=m, v=v)
 
 
 def reference_train(
@@ -464,35 +470,13 @@ def reference_node_fields(obj: dict) -> tuple[dict[str, str], tuple[int, ...]]:
     return attrs, tuple(children)
 
 
-def reference_node_value(tree: AstTree, node_id: int) -> str:
-    """A node's own non-empty `value`, else its first Literal child's
-    non-empty `value` (the `5` of `uint x = 5;`), else ''."""
-    node = tree.nodes[node_id]
-    if node.attributes.get("value"):
-        return node.attributes["value"]
-    for child_id in node.children:
-        child = tree.nodes[child_id]
-        if child.node_type == "Literal" and child.attributes.get("value"):
-            return child.attributes["value"]
-    return ""
-
-
 def reference_token(tree: AstTree, node_id: int) -> str:
     """A node's vocabulary token: its type, or for a Literal `Literal:` and
-    the type tag of `reference_node_value`: bool for true/false, number for
-    hex or anything `float` reads, string otherwise, after trimming and
-    lower-casing."""
-    n_type = tree.nodes[node_id].node_type
-    if n_type != "Literal":
-        return n_type
-    text = reference_node_value(tree, node_id).strip().lower()
-    if text in ("true", "false"):
-        return "Literal:bool"
-    try:
-        float(text)
-        return "Literal:number"
-    except ValueError:
-        return "Literal:number" if text.startswith("0x") else "Literal:string"
+    its `kind` attribute ('' when it has none)."""
+    node = tree.nodes[node_id]
+    if node.node_type != "Literal":
+        return node.node_type
+    return "Literal:" + node.attributes.get("kind", "")
 
 
 def json_shape(obj) -> tuple:

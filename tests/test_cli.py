@@ -612,6 +612,8 @@ def _with_index(value):
     return corrupt
 
 
+_NESTED_TOO_DEEP = "[" * 100_000 + "]" * 100_000  # past the JSON decoder's recursion limit
+
 VOCAB_CORRUPTIONS = {
     "malformed-json": lambda text: text[: len(text) // 2],
     "not-utf8": lambda text: "\udcff",
@@ -625,6 +627,7 @@ VOCAB_CORRUPTIONS = {
     "index-boolean": _with_index(True),
     "index-string": _with_index("1"),
     "index-shared": lambda text: json.dumps({"word2idx": dict.fromkeys(json.loads(text)["word2idx"], 1)}),
+    "nested-too-deep": lambda text: '{"word2idx": ' + _NESTED_TOO_DEEP + "}",
 }
 
 
@@ -640,6 +643,7 @@ MANIFEST_FAULTS = {
     "bad-label": json.dumps({"ast_path": "x.ast.json", "label": "meh"}),
     "missing-ast-path": json.dumps({"label": "clean"}),
     "integer-too-long": '{"ast_path": "x.ast.json", "label": "clean", "n": ' + "9" * 5000 + "}",
+    "nested-too-deep": '{"ast_path": "x.ast.json", "label": "clean", "n": ' + _NESTED_TOO_DEEP + "}",
 }
 
 
@@ -680,6 +684,9 @@ def test_fault_inside_an_input_file_names_it_as_path(trained, corpus_dir, tmp_pa
     assert diagnostic["code"] == FAULT_CODES.get((kind, fault), "SchemaViolationError")
     if (kind, fault) == ("vocab", "not-utf8"):  # worded like every other reader's
         assert diagnostic["message"] == f"{bad}: not UTF-8 at byte 0: invalid start byte"
+    if fault == "nested-too-deep":  # worded like the AST reader's
+        where = f"{bad}:1" if kind == "manifest" else str(bad)
+        assert diagnostic["message"] == f"{where}: JSON nested too deeply to parse"
 
 
 @pytest.mark.parametrize(

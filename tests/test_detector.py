@@ -7,7 +7,7 @@ from statelens import detector as det
 from statelens.corpus import split_items
 from statelens.errors import DegenerateCorpusError, StateLensError
 from statelens.feature_extract import extract_node_tuples
-from statelens.gcn_core import GcnParams, TrainConfig, forward, params_to_bytes
+from statelens.gcn_core import GcnParams, TrainConfig, forward, param_count, params_to_bytes
 from statelens.graph_pipeline import build_vocabulary
 
 from helpers import (
@@ -22,13 +22,7 @@ from helpers import (
 
 
 def _zero_model(dim=4, hidden=3) -> det.GcnModel:
-    params = GcnParams(
-        w1=np.zeros((dim, hidden)),
-        w2=np.zeros((hidden, hidden)),
-        w_out=np.zeros((hidden, 2)),
-        b_out=np.zeros(2),
-    )
-    return det.GcnModel(params=params)
+    return det.GcnModel(params=GcnParams(np.zeros(param_count(dim, hidden)), dim, hidden))
 
 
 def _toy_graph(label: str, rng, dim=8, n=4):

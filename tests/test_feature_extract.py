@@ -1,3 +1,4 @@
+import fnmatch
 import json
 
 import pytest
@@ -154,11 +155,14 @@ nodes_with_ref_kind = st.tuples(
 
 
 def _reference_category(rules, node_type, attributes, ref_kind):
-    """First match by `Rule.matches` over every rule in order."""
+    """The first rule, over every rule in order, whose pattern matches the
+    type and whose every predicate holds."""
     if ref_kind is not None:
         attributes = {**attributes, "ref_kind": ref_kind}
     for rule in rules:
-        if rule.matches(node_type, attributes):
+        if fnmatch.fnmatchcase(node_type, rule.pattern) and all(
+            attributes.get(key) == value for key, value in rule.attrs
+        ):
             return rule.category
     return None
 
@@ -603,6 +607,7 @@ def test_edges_of_generated_contracts_and_the_proxy_keep_the_invariants(proxy_tr
 # ---------------------------------------------------------------------------
 
 _LITERAL_VALUES = ["", " 5 ", "0xff", "0XAB", "TRUE", "false", "hello", "1e3", "nan", "-2.5", "0x"]
+_LITERAL_KINDS = [None, "", "bool", "number", "string", "hexString", "unicodeString"]
 
 
 def _check_tokens(tree) -> None:
@@ -613,11 +618,15 @@ def _check_tokens(tree) -> None:
 @st.composite
 def _valued_docs(draw) -> dict:
     """A `random_tree_docs` or `_referencing_docs` document where some nodes
-    hold a scalar `value`, some of them empty."""
+    hold a scalar `value`, some of them empty, and some a `kind` (None
+    leaves it absent)."""
     doc = draw(st.one_of(random_tree_docs(), _referencing_docs()))
     for obj in walk_json_nodes(doc):
         if draw(st.booleans()):
             obj["value"] = draw(st.sampled_from(_LITERAL_VALUES))
+        kind = draw(st.sampled_from(_LITERAL_KINDS))
+        if kind is not None:
+            obj["kind"] = kind
     return doc
 
 
@@ -630,14 +639,3 @@ def test_tokens_of_random_documents_follow_the_reference_rule(doc):
 def test_tokens_of_generated_contracts_and_the_proxy_follow_the_reference_rule(proxy_tree):
     for tree in [proxy_tree, *(tree for _, _, tree in generated_contracts(20, seed=42))]:
         _check_tokens(tree)
-
-
-def test_literal_with_empty_value_takes_its_first_literal_childs_tag():
-    def node(node_id: int, node_type: str, value: str, *children: dict) -> dict:
-        return {"id": node_id, "nodeType": node_type, "value": value, "nodes": list(children)}
-
-    outer = node(1, "Literal", "", node(2, "Literal", ""), node(3, "Identifier", "true"),
-                 node(4, "Literal", "0x1"), node(5, "Literal", "hello"))
-    tree = parse_ast_json(json.dumps(outer))
-    assert extract_node_tuples(tree)[0].token == "Literal:number"
-    _check_tokens(tree)

@@ -17,6 +17,7 @@ from statelens.gcn_core import (
     init_params,
     loss_and_grads,
     optimizer_step,
+    param_count,
     params_to_bytes,
 )
 from statelens.graph_pipeline import ContractGraph
@@ -24,6 +25,7 @@ from statelens.graph_pipeline import ContractGraph
 from helpers import (
     finite_difference_grads,
     max_relative_grad_error,
+    params_of,
     random_normalized_graph,
     random_params,
     reference_forward,
@@ -33,12 +35,7 @@ from helpers import (
 
 
 def _zero_params(dim: int, hidden: int) -> GcnParams:
-    return GcnParams(
-        w1=np.zeros((dim, hidden)),
-        w2=np.zeros((hidden, hidden)),
-        w_out=np.zeros((hidden, 2)),
-        b_out=np.zeros(2),
-    )
+    return GcnParams(np.zeros(param_count(dim, hidden)), dim, hidden)
 
 
 NAMES = ("w1", "w2", "w_out", "b_out")
@@ -122,7 +119,7 @@ def test_forward_single_node_closed_form():
     # n=1 graph with s_hat=[[1]]: the network collapses to scalar algebra
     g = random_normalized_graph(np.random.default_rng(2), n=1, dim=1)
     g.features[:] = 1.5
-    params = GcnParams(
+    params = params_of(
         w1=np.array([[2.0]]), w2=np.array([[-1.0]]), w_out=np.array([[0.7, -0.3]]), b_out=np.array([0.1, 0.2])
     )
     trace = forward(params, g)
@@ -206,7 +203,7 @@ def test_gradients_match_finite_differences():
 def test_zero_grads_leave_params_unchanged():
     params = random_params(np.random.default_rng(10), dim=3, hidden=2)
     zero = _zero_params(3, 2)
-    updated = GcnParams.from_flat(params.flat.copy(), params.dim, params.hidden)
+    updated = GcnParams(params.flat.copy(), params.dim, params.hidden)
     optimizer_step(OptimizerState(), updated, zero, TrainConfig(learning_rate=0.1, epochs=1))
     for name in NAMES:
         assert np.array_equal(getattr(updated, name), getattr(params, name))
@@ -217,7 +214,7 @@ def test_adam_first_step_magnitude_and_sign():
     params = random_params(rng, dim=2, hidden=2)
     grads = random_params(rng, dim=2, hidden=2)
     config = TrainConfig(learning_rate=1e-3, epochs=1)
-    updated = GcnParams.from_flat(params.flat.copy(), params.dim, params.hidden)
+    updated = GcnParams(params.flat.copy(), params.dim, params.hidden)
     state = OptimizerState()
     optimizer_step(state, updated, grads, config)
     for name in NAMES:
@@ -270,7 +267,7 @@ def _reference_steps(params: GcnParams, graphs, config: TrainConfig) -> dict[str
     v = {name: np.zeros_like(arr) for name, arr in p.items()}
     l2, lr = config.l2_penalty, config.learning_rate
     for t, graph in enumerate(graphs, start=1):
-        _, raw = loss_and_grads(GcnParams(**p), graph, graph.label, 0.0)
+        _, raw = loss_and_grads(params_of(**p), graph, graph.label, 0.0)
         g = {name: getattr(raw, name) + l2 * p[name] for name in NAMES}
         for name in NAMES:
             m[name] = ADAM_BETA1 * m[name] + (1 - ADAM_BETA1) * g[name]
@@ -346,7 +343,7 @@ def test_out_buffer_reused_across_graphs_carries_nothing_over():
     big = random_normalized_graph(rng, n=9, dim=5)
     small = random_normalized_graph(rng, n=2, dim=5)
     params = random_params(rng, dim=5, hidden=3)
-    out = GcnParams.from_flat(np.full(params.flat.size, np.nan), params.dim, params.hidden)
+    out = GcnParams(np.full(params.flat.size, np.nan), params.dim, params.hidden)
     for graph, label in ((big, "defective"), (small, "clean"), (big, "clean")):
         loss, grads = loss_and_grads(params, graph, label, 5e-4, out=out)
         ref_loss, ref_grads = reference_loss_and_grads(params, graph, label, 5e-4)
@@ -364,9 +361,9 @@ def test_in_place_steps_equal_allocating_reference_bytes(l2):
     ]
     config = TrainConfig(learning_rate=0.05, l2_penalty=l2, epochs=1)
     params = random_params(rng, dim=5, hidden=3)
-    ref_params = GcnParams.from_flat(params.flat.copy(), params.dim, params.hidden)
+    ref_params = GcnParams(params.flat.copy(), params.dim, params.hidden)
     buffer = params.flat
-    grads = GcnParams.from_flat(np.empty_like(buffer), params.dim, params.hidden)
+    grads = GcnParams(np.empty_like(buffer), params.dim, params.hidden)
     state, ref_state = OptimizerState(), OptimizerState()
     for graph in graphs:
         loss, _ = loss_and_grads(params, graph, graph.label, l2, out=grads)
@@ -421,7 +418,7 @@ def test_model_missing_file(tmp_path):
 def test_fingerprint_changes_with_weights():
     rng = np.random.default_rng(17)
     a = random_params(rng, dim=2, hidden=2)
-    b = GcnParams.from_flat(a.flat.copy(), a.dim, a.hidden)
+    b = GcnParams(a.flat.copy(), a.dim, a.hidden)
     b.w1[0, 0] += 1e-9
     assert GcnModel(a).fingerprint() != GcnModel(b).fingerprint()
     assert params_to_bytes(a) != params_to_bytes(b)

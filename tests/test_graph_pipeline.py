@@ -118,9 +118,29 @@ def _tokens(*nodes: dict) -> list[str]:
     return [t.token for t in extract_node_tuples(parse_ast_json(json.dumps(doc)))]
 
 
+def _literal(kind: str, value: str | None, hex_value: str, type_string: str) -> dict:
+    """A Literal as solc's compact AST writes it: `value` is null for a hex
+    string that is not valid UTF-8."""
+    return {"nodeType": "Literal", "kind": kind, "value": value, "hexValue": hex_value, "src": "0:1:0",
+            "typeDescriptions": {"typeString": type_string}}
+
+
 def test_token_literal_uses_type_tag():
-    literals = ({"nodeType": "Literal", "value": value} for value in ("5", "0xff", "true", "hello"))
-    assert _tokens(*literals) == ["Literal:number", "Literal:number", "Literal:bool", "Literal:string"]
+    literals = [
+        _literal("number", "5", "35", "int_const 5"),
+        _literal("number", "0xff", "30786666", "int_const 255"),
+        _literal("bool", "true", "74727565", "bool"),
+        _literal("string", "hello", "68656c6c6f", 'literal_string "hello"'),
+        _literal("string", "123", "313233", 'literal_string "123"'),  # reads as a number
+        _literal("string", "true", "74727565", 'literal_string "true"'),  # reads as a bool
+        _literal("hexString", None, "ff", 'literal_string hex"ff"'),
+        _literal("unicodeString", "\u00e9", "c3a9", 'literal_string "\u00e9"'),
+    ]
+    assert _tokens(*literals) == [
+        "Literal:number", "Literal:number", "Literal:bool", "Literal:string",
+        "Literal:string", "Literal:string", "Literal:hexString", "Literal:unicodeString",
+    ]
+    assert _tokens({"nodeType": "Literal", "value": "5"}) == ["Literal:"]  # no kind
     named = [_tokens({"nodeType": "FunctionDefinition", "name": name}) for name in ("f", "\ud800other")]
     assert named[0] == named[1] == ["FunctionDefinition"]
 
