@@ -7,14 +7,16 @@ keys such as ``nodes``, ``body``, ``statements``, ``expression``, ...).
 Parsing does not assume a fixed key set; any nested object bearing a
 ``nodeType`` becomes a child, in document order, so new compiler dialects
 pass through unchanged. Node types outside the classification rules are
-kept verbatim and simply ignored downstream.
+kept verbatim and simply ignored downstream. Each node keeps the JSON
+object it was decoded from; its attributes are flattened out of that
+object only when a rule reads them, never during the parse.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -24,14 +26,44 @@ from .errors import EmptyDocumentError, MalformedJsonError, SchemaViolationError
 _RESERVED_KEYS = frozenset(("id", "nodeType", "name", "src"))
 
 
-@dataclass(slots=True)  # one per AST node: 5x cheaper to build slotted than frozen
+# One per AST node: slotted, not frozen, since a frozen dataclass sets each
+# field through object.__setattr__.
+@dataclass(slots=True)
 class AstNode:
+    """A node of the tree and `obj`, the JSON object it was decoded from.
+    Its attributes are the scalars of `obj` under every key but id,
+    nodeType, name and src, flattened by `_collect` when read."""
+
     id: int
     node_type: str
-    name: str | None
-    attributes: dict[str, str]
     src_span: tuple[int, int, int]  # (byte offset, byte length, file index)
     children: tuple[int, ...]
+    obj: dict[str, Any] = field(repr=False)
+
+    @property
+    def name(self) -> str | None:
+        """`obj`'s name when it is a string; no stage reads it, only the
+        acceptance suite's criterion 8."""
+        raw = self.obj.get("name")
+        return raw if isinstance(raw, str) else None
+
+    @property
+    def attributes(self) -> dict[str, str]:
+        attrs: dict[str, str] = {}
+        for key, value in self.obj.items():
+            if key not in _RESERVED_KEYS:
+                _collect(value, key, attrs)
+        return attrs
+
+    def attribute(self, key: str) -> str | None:
+        """`attributes.get(key)`. Only the value under `key` itself can write
+        a key without a dot, so only that value is flattened."""
+        if "." in key:  # `a.b` may come from the key `a.b` or from `b` under `a`
+            return self.attributes.get(key)
+        attrs: dict[str, str] = {}
+        if key not in _RESERVED_KEYS:
+            _collect(self.obj.get(key), key, attrs)
+        return attrs.get(key)
 
 
 @dataclass(frozen=True)
@@ -83,25 +115,39 @@ def _parse_src(raw: Any) -> tuple[int, int, int]:
     return span
 
 
-def _collect(value: Any, key: str, attrs: dict[str, str], child_objs: list[dict]) -> None:
-    """Walk one JSON value, splitting it into scalar attributes and child nodes."""
+def _collect(value: Any, key: str, attrs: dict[str, str]) -> None:
+    """Flatten one JSON value into `attrs` under `key`: a plain object's
+    entries go under `key.subkey`, a list's scalars are joined by spaces,
+    and a node object is a child, not an attribute."""
     if isinstance(value, dict):
-        if "nodeType" in value:
-            child_objs.append(value)
-        else:
+        if "nodeType" not in value:
             for sub_key, sub_value in value.items():
-                _collect(sub_value, f"{key}.{sub_key}", attrs, child_objs)
+                _collect(sub_value, f"{key}.{sub_key}", attrs)
     elif isinstance(value, list):
         scalars = []
         for item in value:
             if isinstance(item, (dict, list)):
-                _collect(item, key, attrs, child_objs)
+                _collect(item, key, attrs)
             elif item is not None:
                 scalars.append(_format_scalar(item))
         if scalars:
             attrs[key] = " ".join(scalars)
     elif value is not None:
         attrs[key] = _format_scalar(value)
+
+
+def _find_children(value: dict | list, found: list[dict]) -> None:
+    """Append the node objects in one JSON object or list, in document
+    order: the search enters plain objects and lists, not node objects."""
+    for item in value.values() if type(value) is dict else value:
+        kind = type(item)  # json.loads makes exact dicts and lists
+        if kind is dict:
+            if "nodeType" in item:
+                found.append(item)
+            else:
+                _find_children(item, found)
+        elif kind is list:
+            _find_children(item, found)
 
 
 def _error_path(source_unit: str, nodes: dict[int, AstNode], parents: dict[int, int], parent_id) -> str:
@@ -140,25 +186,29 @@ def _build_nodes(data: dict, source_unit: str) -> tuple[dict[int, AstNode], dict
             path = _error_path(source_unit, nodes, parents, parent_id)
             raise SchemaViolationError(f"{path}: duplicate id {node_id}")
 
-        attrs: dict[str, str] = {}
         child_objs: list[dict] = []
         for key, value in obj.items():
-            if key not in _RESERVED_KEYS:
-                _collect(value, key, attrs, child_objs)
+            kind = type(value)  # json.loads makes exact dicts and lists
+            if (kind is dict or kind is list) and key not in _RESERVED_KEYS:
+                if kind is dict and "nodeType" in value:
+                    child_objs.append(value)
+                else:
+                    _find_children(value, child_objs)
 
-        try:
-            span = _parse_src(obj.get("src"))
-        except SchemaViolationError as exc:  # the path is built only for a bad src
-            path = _error_path(source_unit, nodes, parents, parent_id)
-            raise SchemaViolationError(f"{path}: {exc}") from None
-        raw_name = obj.get("name")
+        src = obj.get("src")
+        try:  # the common case inline; `_parse_src` accepts or words the rest
+            offset, length, file_index = src.split(":")
+            span = (int(offset), int(length), int(file_index))
+            if span[0] < 0 or span[1] < 0:
+                raise ValueError
+        except (AttributeError, ValueError):
+            try:
+                span = _parse_src(src)
+            except SchemaViolationError as exc:  # the path is built only for a bad src
+                path = _error_path(source_unit, nodes, parents, parent_id)
+                raise SchemaViolationError(f"{path}: {exc}") from None
         nodes[node_id] = AstNode(  # positional: about a quarter cheaper than by keyword
-            node_id,
-            node_type,
-            raw_name if isinstance(raw_name, str) else None,
-            attrs,
-            span,
-            tuple([child.get("id") for child in child_objs]),
+            node_id, node_type, span, tuple([child.get("id") for child in child_objs]), obj
         )
         if parent_id is not None:
             parents[node_id] = parent_id

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statelens.ast_ingest import AstNode, AstTree, parse_ast_json, subtree_preorder, validate_tree
+from statelens.feature_extract import referenced_declaration
 from statelens.errors import EmptyDocumentError, MalformedJsonError, SchemaViolationError
 
 from helpers import TREE_NODE_TYPES, nested_ast_json, random_tree_docs, reference_node_fields, walk_json_nodes
@@ -17,14 +18,14 @@ def test_minimal_document_two_nodes():
     assert len(tree) == 2
     assert tree.nodes[tree.root_id].node_type == "SourceUnit"
     assert tree.nodes[2].node_type == "ContractDefinition"
-    assert tree.nodes[2].name == "C"
+    assert tree.nodes[2].obj.get("name") == "C"
 
 
 def test_proxy_fixture_has_public_transfer_function(proxy_tree):
     functions = [
         n
         for n in proxy_tree.nodes.values()
-        if n.node_type == "FunctionDefinition" and n.name == "safeTransferFrom"
+        if n.node_type == "FunctionDefinition" and n.obj.get("name") == "safeTransferFrom"
     ]
     assert len(functions) == 1
     assert functions[0].attributes["visibility"] == "public"
@@ -185,7 +186,7 @@ def test_validate_parse_output_is_clean(proxy_tree):
 
 
 def test_validate_dangling_child():
-    node = AstNode(id=1, node_type="SourceUnit", name=None, attributes={}, src_span=(0, 0, 0), children=(99,))
+    node = AstNode(id=1, node_type="SourceUnit", src_span=(0, 0, 0), children=(99,), obj={})
     tree = AstTree(root_id=1, nodes={1: node}, parents={})
     diags = validate_tree(tree)
     assert [d.code for d in diags] == ["dangling-child"]
@@ -193,8 +194,8 @@ def test_validate_dangling_child():
 
 
 def test_validate_duplicate_id():
-    a = AstNode(id=7, node_type="SourceUnit", name=None, attributes={}, src_span=(0, 0, 0), children=(8,))
-    b = AstNode(id=7, node_type="PragmaDirective", name=None, attributes={}, src_span=(0, 0, 0), children=())
+    a = AstNode(id=7, node_type="SourceUnit", src_span=(0, 0, 0), children=(8,), obj={})
+    b = AstNode(id=7, node_type="PragmaDirective", src_span=(0, 0, 0), children=(), obj={})
     tree = AstTree(root_id=7, nodes={7: a, 8: b}, parents={})
     duplicates = [d for d in validate_tree(tree) if d.code == "duplicate-id"]
     assert len(duplicates) == 1
@@ -202,9 +203,9 @@ def test_validate_duplicate_id():
 
 
 def test_validate_unreachable_and_multi_parent():
-    root = AstNode(id=1, node_type="SourceUnit", name=None, attributes={}, src_span=(0, 0, 0), children=(2, 2))
-    child = AstNode(id=2, node_type="ContractDefinition", name=None, attributes={}, src_span=(0, 0, 0), children=())
-    orphan = AstNode(id=3, node_type="PragmaDirective", name=None, attributes={}, src_span=(0, 0, 0), children=())
+    root = AstNode(id=1, node_type="SourceUnit", src_span=(0, 0, 0), children=(2, 2), obj={})
+    child = AstNode(id=2, node_type="ContractDefinition", src_span=(0, 0, 0), children=(), obj={})
+    orphan = AstNode(id=3, node_type="PragmaDirective", src_span=(0, 0, 0), children=(), obj={})
     tree = AstTree(root_id=1, nodes={1: root, 2: child, 3: orphan}, parents={2: 1})
     codes = {d.code for d in validate_tree(tree)}
     assert "multiple-parents" in codes
@@ -218,7 +219,7 @@ def test_validate_unreachable_and_multi_parent():
 
 def _signature(tree: AstTree) -> list[tuple]:
     return [
-        (n.id, n.node_type, n.name, n.src_span, n.children, n.attributes)
+        (n.id, n.node_type, n.obj.get("name"), n.src_span, n.children, n.attributes)
         for n in subtree_preorder(tree, tree.root_id)
     ]
 
@@ -258,14 +259,16 @@ def test_parse_matches_random_document(doc):
 _SCALARS = st.one_of(
     st.integers(-3, 3), st.booleans(), st.none(), st.floats(-2, 2), st.text("ab ", max_size=3)
 )
-_ATTRIBUTE_KEYS = st.sampled_from(["nodes", "body", "value", "typeDescriptions", "k"])
+_ATTRIBUTE_KEYS = st.sampled_from(
+    ["nodes", "body", "value", "typeDescriptions", "k", "referencedDeclaration", "kind"]
+)
 
 
 @st.composite
 def _node_object(draw, depth: int) -> dict:
     obj = {"nodeType": draw(st.sampled_from(TREE_NODE_TYPES))}
-    if draw(st.booleans()):
-        obj["name"] = draw(st.text("xy", min_size=1, max_size=3))
+    if draw(st.booleans()):  # any JSON value: a node object under `name` is not a child
+        obj["name"] = draw(_json_value(depth + 1))
     for key in draw(st.lists(_ATTRIBUTE_KEYS, max_size=3, unique=True)):
         obj[key] = draw(_json_value(depth + 1))
     return obj
@@ -304,13 +307,31 @@ def attribute_docs(draw) -> dict:
     return doc
 
 
+def _int_or_none(text: str | None) -> int | None:
+    try:
+        return int(text)
+    except (TypeError, ValueError):
+        return None
+
+
 @given(attribute_docs())
 @settings(max_examples=100, deadline=None)
 def test_parse_flattens_attributes_like_the_reference(doc):
     tree = parse_ast_json(json.dumps(doc))
-    objs = list(walk_json_nodes(doc))
-    assert list(tree.nodes) == [obj["id"] for obj in objs]
-    for obj in objs:
-        node = tree.nodes[obj["id"]]
-        assert (node.attributes, node.children) == reference_node_fields(obj)
-        assert node.name == obj.get("name")
+    by_id = {obj["id"]: obj for obj in walk_json_nodes(doc)}
+    preorder, stack = [], [doc["id"]]  # the tree the reference's children make
+    while stack:
+        preorder.append(stack.pop())
+        stack += reversed(reference_node_fields(by_id[preorder[-1]])[1])
+    assert list(tree.nodes) == preorder
+    for obj in by_id.values():  # a node object under a reserved key is never a node
+        for key in ("id", "nodeType", "name", "src"):
+            assert not {o["id"] for o in walk_json_nodes(obj.get(key))} & set(tree.nodes)
+    for node_id in preorder:
+        node, obj = tree.nodes[node_id], by_id[node_id]
+        attributes, children = reference_node_fields(obj)
+        assert (node.attributes, node.children) == (attributes, children)
+        assert node.obj.get("name") == obj.get("name")
+        for key in [*attributes, "name", "kind", "value.a", "referencedDeclaration"]:
+            assert node.attribute(key) == attributes.get(key)
+        assert referenced_declaration(node) == _int_or_none(attributes.get("referencedDeclaration"))
