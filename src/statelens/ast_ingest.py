@@ -42,8 +42,7 @@ class AstNode:
 
     @property
     def name(self) -> str | None:
-        """`obj`'s name when it is a string; no stage reads it, only the
-        acceptance suite's criterion 8."""
+        """`obj`'s name when it is a string."""
         raw = self.obj.get("name")
         return raw if isinstance(raw, str) else None
 
@@ -54,16 +53,6 @@ class AstNode:
             if key not in _RESERVED_KEYS:
                 _collect(value, key, attrs)
         return attrs
-
-    def attribute(self, key: str) -> str | None:
-        """`attributes.get(key)`. Only the value under `key` itself can write
-        a key without a dot, so only that value is flattened."""
-        if "." in key:  # `a.b` may come from the key `a.b` or from `b` under `a`
-            return self.attributes.get(key)
-        attrs: dict[str, str] = {}
-        if key not in _RESERVED_KEYS:
-            _collect(self.obj.get(key), key, attrs)
-        return attrs.get(key)
 
 
 @dataclass(frozen=True)
@@ -97,22 +86,19 @@ def _format_scalar(value: Any) -> str:
     return str(value)
 
 
-def _parse_src(raw: Any) -> tuple[int, int, int]:
-    """The span a `src` string names; the caller puts the node's path on a fault."""
-    if raw is None:
-        return (0, 0, 0)
+def _src_fault(raw: Any) -> str:
+    """Why `raw`, a `src` value other than None, names no span; the caller
+    puts the node's path before it."""
     if not isinstance(raw, str):
-        raise SchemaViolationError(f"src must be a string, got {type(raw).__name__}")
+        return f"src must be a string, got {type(raw).__name__}"
     parts = raw.split(":")
     if len(parts) != 3:
-        raise SchemaViolationError(f"src must look like 'offset:length:file', got {raw!r}")
+        return f"src must look like 'offset:length:file', got {raw!r}"
     try:
-        span = (int(parts[0]), int(parts[1]), int(parts[2]))
+        [int(part) for part in parts]
     except ValueError:
-        raise SchemaViolationError(f"non-integer src component in {raw!r}") from None
-    if span[0] < 0 or span[1] < 0:
-        raise SchemaViolationError(f"negative src span {raw!r}")
-    return span
+        return f"non-integer src component in {raw!r}"
+    return f"negative src span {raw!r}"
 
 
 def _collect(value: Any, key: str, attrs: dict[str, str]) -> None:
@@ -196,17 +182,17 @@ def _build_nodes(data: dict, source_unit: str) -> tuple[dict[int, AstNode], dict
                     _find_children(value, child_objs)
 
         src = obj.get("src")
-        try:  # the common case inline; `_parse_src` accepts or words the rest
-            offset, length, file_index = src.split(":")
-            span = (int(offset), int(length), int(file_index))
-            if span[0] < 0 or span[1] < 0:
-                raise ValueError
-        except (AttributeError, ValueError):
+        if src is None:
+            span = (0, 0, 0)
+        else:
             try:
-                span = _parse_src(src)
-            except SchemaViolationError as exc:  # the path is built only for a bad src
+                offset, length, file_index = src.split(":")
+                span = (int(offset), int(length), int(file_index))
+                if span[0] < 0 or span[1] < 0:
+                    raise ValueError
+            except (AttributeError, ValueError):  # the path is built only for a bad src
                 path = _error_path(source_unit, nodes, parents, parent_id)
-                raise SchemaViolationError(f"{path}: {exc}") from None
+                raise SchemaViolationError(f"{path}: {_src_fault(src)}") from None
         nodes[node_id] = AstNode(  # positional: about a quarter cheaper than by keyword
             node_id, node_type, span, tuple([child.get("id") for child in child_objs]), obj
         )

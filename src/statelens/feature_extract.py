@@ -99,16 +99,21 @@ class RuleTable:
         return found
 
     def category(
-        self, node_type: str, attribute: Callable[[str], str | None], ref_kind: str | None = None
+        self, node_type: str, attributes: Callable[[], dict[str, str]], ref_kind: str | None = None
     ) -> DependencyCategory | None:
         """The category of the first rule whose pattern matches `node_type`
-        and whose every `key=value` predicate holds. `attribute(key)` gives
-        the node's attribute `key`, or None; it is called only for the keys
-        a predicate reads, with `ref_kind` (when not None) standing in for
-        the node's own `ref_kind` attribute."""
+        and whose every `key=value` predicate holds, with `ref_kind` (when
+        not None) standing in for the node's own `ref_kind` attribute.
+        `attributes()` gives the node's attributes; it is called at most
+        once, and only for a predicate that `ref_kind` does not answer."""
+        attrs = None
         for rule in self.candidates(node_type):
             for key, value in rule.attrs:
-                actual = ref_kind if key == "ref_kind" and ref_kind is not None else attribute(key)
+                if key == "ref_kind" and ref_kind is not None:
+                    actual = ref_kind
+                else:
+                    attrs = attributes() if attrs is None else attrs
+                    actual = attrs.get(key)
                 if actual != value:
                     break
             else:
@@ -177,13 +182,13 @@ def label_set_from_rules(rules: RuleTable | None = None) -> LabelSet:
 
 
 def referenced_declaration(node: AstNode) -> int | None:
-    """The node's `referencedDeclaration` as an integer: the JSON integer
-    itself, or else `int()` of the flattened attribute, None where that
-    fails."""
+    """`int()` of the node's `referencedDeclaration` attribute, None where
+    that fails. A JSON integer is that integer, so only another value needs
+    the attribute built."""
     raw = node.obj.get("referencedDeclaration")
     if raw is None or (isinstance(raw, int) and not isinstance(raw, bool)):
         return raw
-    raw = node.attribute("referencedDeclaration")
+    raw = node.attributes.get("referencedDeclaration")
     if raw is None:
         return None
     try:
@@ -226,13 +231,13 @@ def extract_node_tuples(tree: AstTree, rules: RuleTable | None = None) -> list[N
         if not candidates:
             continue
         if candidates[0].attrs:  # predicates decide; resolve the reference once
-            category = table.category(node.node_type, node.attribute, reference_kind(tree, node))
+            category = table.category(node.node_type, lambda: node.attributes, reference_kind(tree, node))
             if category is None:
                 continue
         else:
             category = candidates[0].category
         node_type = node.node_type
-        token = "Literal:" + (node.attribute("kind") or "") if node_type == "Literal" else node_type
+        token = "Literal:" + node.attributes.get("kind", "") if node_type == "Literal" else node_type
         tuples.append(NodeTuple(node.id, node_type, token, category))
     return tuples
 
@@ -257,10 +262,7 @@ def _resolve_callee(tree: AstTree, call: AstNode) -> int | None:
     return None
 
 
-# Edge types in the order of their values: an edge's type is kept as its rank
-# here, so sorting ranks sorts by value.
-_EDGE_TYPES_BY_VALUE = sorted(EdgeType, key=lambda t: t.value)
-_AST_CHILD, _CONTROL_FLOW, _DATA_DEP, _FUNC_CALL, _DECL_REF = map(_EDGE_TYPES_BY_VALUE.index, EdgeType)
+_EDGE_TYPE_OF = {t.value: t for t in EdgeType}
 
 
 def extract_edges(tree: AstTree, tuples: list[NodeTuple]) -> list[EdgeTuple]:
@@ -277,8 +279,8 @@ def extract_edges(tree: AstTree, tuples: list[NodeTuple]) -> list[EdgeTuple]:
     nodes, parents = tree.nodes, tree.parents
     categorized = {t.n_id for t in tuples}
     first_id = tuples[0].n_id if tuples else None
-    # (source, target, type rank): sorting these sorts by (e_s, e_e, e_t)
-    edges: set[tuple[int, int, int]] = set()
+    # (source, target, EdgeType value): sorting these sorts by (e_s, e_e, e_t)
+    edges: set[tuple[int, int, str]] = set()
 
     for t in tuples:
         node_id = t.n_id
@@ -287,22 +289,22 @@ def extract_edges(tree: AstTree, tuples: list[NodeTuple]) -> list[EdgeTuple]:
         ancestor = parents.get(node_id)
         while ancestor is not None and ancestor not in categorized:
             ancestor = parents.get(ancestor)
-        edges.add((first_id if ancestor is None else ancestor, node_id, _AST_CHILD))
+        edges.add((first_id if ancestor is None else ancestor, node_id, "AstChild"))
 
         target = referenced_declaration(node)
         if target is not None:
-            edges.add((node_id, target, _DECL_REF))
+            edges.add((node_id, target, "DeclRef"))
 
         if node.node_type == "FunctionCall":
             callee = _resolve_callee(tree, node)
             if callee is not None:
-                edges.add((node_id, callee, _FUNC_CALL))
+                edges.add((node_id, callee, "FuncCall"))
 
         if t.category is DependencyCategory.CONTROL:
             for child_id in node.children:
                 first = _first_categorized(tree, child_id, categorized)
                 if first is not None:
-                    edges.add((node_id, first, _CONTROL_FLOW))
+                    edges.add((node_id, first, "ControlFlow"))
 
         if node.node_type == "Assignment" and node.children:
             lhs, rhs_roots = node.children[0], node.children[1:]
@@ -311,8 +313,8 @@ def extract_edges(tree: AstTree, tuples: list[NodeTuple]) -> list[EdgeTuple]:
                 for rhs_root in rhs_roots:
                     for descendant in subtree_preorder(tree, rhs_root):
                         if descendant.node_type == "Identifier":
-                            edges.add((descendant.id, target, _DATA_DEP))
+                            edges.add((descendant.id, target, "DataDep"))
 
     # the one rule every kind keeps: an edge joins two distinct categorized nodes
-    return [EdgeTuple(s, e, _EDGE_TYPES_BY_VALUE[t]) for s, e, t in sorted(edges)
+    return [EdgeTuple(s, e, _EDGE_TYPE_OF[t]) for s, e, t in sorted(edges)
             if s != e and s in categorized and e in categorized]

@@ -1220,7 +1220,7 @@ def test_names_change_no_feature_operator_or_report(trained, corpus_dir, tmp_pat
     vocab = load_vocabulary(trained["vocab"])
     trees = [parse_ast_json(read_document(p)) for p in (source, renamed)]
     before, after = (normalized_contract(tree, vocab) for tree in trees)
-    names = [[tree.nodes[t.n_id].obj.get("name") for t in graph.tuples] for tree, graph in zip(trees, (before, after))]
+    names = [[tree.nodes[t.n_id].name for t in graph.tuples] for tree, graph in zip(trees, (before, after))]
     assert names[0] != names[1]
     assert before.features.tobytes() == after.features.tobytes()
     assert before.s_hat.tobytes() == after.s_hat.tobytes()

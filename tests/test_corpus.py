@@ -221,7 +221,7 @@ def test_generated_names_are_randomized():
         for node in tree.nodes.values():
             if node.node_type == "FunctionDefinition" and node.attributes.get("visibility") == "public":
                 if node.attributes.get("stateMutability") == "nonpayable":
-                    target_names.add(node.obj.get("name"))
+                    target_names.add(node.name)
     assert len(target_names) > 1
 
 

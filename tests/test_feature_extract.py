@@ -41,21 +41,21 @@ from helpers import generated_contracts, random_tree_docs, reference_token, walk
     ],
 )
 def test_categorize_by_type(node_type, expected):
-    assert default_rules().category(node_type, {}.get) is expected
+    assert default_rules().category(node_type, lambda: {}) is expected
 
 
 @pytest.mark.parametrize("node_type", ["PragmaDirective", "SourceUnit", "Block", "ParameterList"])
 def test_uncategorized_types(node_type):
-    assert default_rules().category(node_type, {}.get) is None
+    assert default_rules().category(node_type, lambda: {}) is None
 
 
 def test_identifier_needs_reference_kind():
     table = default_rules()
-    assert table.category("Identifier", {}.get) is None
-    assert table.category("Identifier", {}.get, ref_kind="variable") is DependencyCategory.DATA
-    assert table.category("Identifier", {}.get, ref_kind="function") is DependencyCategory.FUNCTION
-    assert table.category("Identifier", {}.get, ref_kind="modifier") is DependencyCategory.FUNCTION
-    assert table.category("Identifier", {}.get, ref_kind="event") is None
+    assert table.category("Identifier", lambda: {}) is None
+    assert table.category("Identifier", lambda: {}, ref_kind="variable") is DependencyCategory.DATA
+    assert table.category("Identifier", lambda: {}, ref_kind="function") is DependencyCategory.FUNCTION
+    assert table.category("Identifier", lambda: {}, ref_kind="modifier") is DependencyCategory.FUNCTION
+    assert table.category("Identifier", lambda: {}, ref_kind="event") is None
 
 
 def test_rule_file_parsing_and_errors():
@@ -100,8 +100,8 @@ def test_label_set_covers_rule_table():
 )
 @settings(max_examples=80)
 def test_categorize_is_pure(node_type, attrs):
-    first = default_rules().category(node_type, dict(attrs).get)
-    second = default_rules().category(node_type, dict(attrs).get)
+    first = default_rules().category(node_type, lambda: dict(attrs))
+    second = default_rules().category(node_type, lambda: dict(attrs))
     assert first is second
 
 
@@ -120,7 +120,7 @@ def test_default_rules_is_a_compiled_table_in_file_order():
 
 def test_custom_rule_table_resolves_ref_kind():
     rules = RuleTable(parse_rules("Identifier ref_kind=event -> Declaration\n"))
-    assert rules.category("Identifier", {}.get, ref_kind="event") is DependencyCategory.DECLARATION
+    assert rules.category("Identifier", lambda: {}, ref_kind="event") is DependencyCategory.DECLARATION
     doc = (
         '{"id": 1, "nodeType": "SourceUnit", "nodes": [{"id": 2, "nodeType": "EventDefinition"}, '
         '{"id": 3, "nodeType": "Identifier", "referencedDeclaration": 2}]}'
@@ -173,7 +173,11 @@ def test_compiled_table_matches_rule_by_rule_first_match(rules, nodes):
     table = RuleTable(rules)  # one table for every node, so later nodes hit its per-type cache
     for node_type, attributes, ref_kind in nodes:
         expected = _reference_category(rules, node_type, attributes, ref_kind)
-        assert table.category(node_type, attributes.get, ref_kind) is expected
+        calls = []
+        assert table.category(node_type, lambda: calls.append(1) or attributes, ref_kind) is expected
+        # the attributes are built at most once, and only for a predicate ref_kind does not answer
+        answered = all(key == "ref_kind" and ref_kind is not None for rule in rules for key, _ in rule.attrs)
+        assert len(calls) <= (0 if answered else 1)
 
 
 def test_tuples_empty_for_pragma_only():
@@ -185,7 +189,7 @@ def test_tuples_proxy_fixture(proxy_tree):
     tuples = extract_node_tuples(proxy_tree)
     functions = [
         t for t in tuples
-        if t.n_type == "FunctionDefinition" and proxy_tree.nodes[t.n_id].obj.get("name") == "safeTransferFrom"
+        if t.n_type == "FunctionDefinition" and proxy_tree.nodes[t.n_id].name == "safeTransferFrom"
     ]
     assert len(functions) == 1
     assert functions[0].category is DependencyCategory.FUNCTION
@@ -235,7 +239,7 @@ STATE_VAR_DOC = json.dumps(
 def test_tuple_value_from_initializer():
     tree = parse_ast_json(STATE_VAR_DOC)
     decl = next(t for t in extract_node_tuples(tree) if t.n_type == "VariableDeclaration")
-    assert tree.nodes[decl.n_id].obj.get("name") == "x"
+    assert tree.nodes[decl.n_id].name == "x"
     assert decl.category is DependencyCategory.DECLARATION
 
 
@@ -397,7 +401,7 @@ def test_function_call_edge_resolves(proxy_tree):
     assert len(calls) == 1
     callee = proxy_tree.nodes[calls[0].e_e]
     assert callee.node_type == "FunctionDefinition"
-    assert callee.obj.get("name") == "execute"
+    assert callee.name == "execute"
 
 
 def test_empty_body_function_has_no_edges():
